@@ -1,45 +1,7 @@
-"""Backend selection for the hot numeric kernels.
+"""Name of the convolution kernel path, recorded with benchmark runs.
 
-The convolution kernels exist in two flavors: numba-jitted loops and a pure
-numpy fallback. Which one is used is decided once at import time from the
-``BITRUNET_BACKEND`` environment variable:
-
-    auto   (default) numba if importable, else numpy
-    numba  force numba, raise if unavailable
-    numpy  force the pure-numpy path
-
-``benchmarks/bench_kernels.py`` times both flavors side by side.
+The kernels in ``kernels.py`` have a single implementation: numpy
+contractions on BLAS.
 """
 
-import os
-
-_CHOICE = os.environ.get("BITRUNET_BACKEND", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"BITRUNET_BACKEND must be one of auto|numba|numpy, got {_CHOICE!r}"
-    )
-
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def prange(*args):  # pragma: no cover - exercised only without numba
-        return range(*args)
-
-    def njit(*args, **kwargs):  # pragma: no cover
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def deco(f):
-            return f
-
-        return deco
-
-if _CHOICE == "numba" and not HAS_NUMBA:
-    raise ImportError("BITRUNET_BACKEND=numba but numba is not installed")
-
-USE_NUMBA = HAS_NUMBA and _CHOICE != "numpy"
-ACTIVE_BACKEND = "numba" if USE_NUMBA else "numpy"
+ACTIVE_BACKEND = "numpy"

@@ -83,7 +83,11 @@ def load_checkpoint(path):
             f"{path}: unsupported version {version} at byte 4, expected {VERSION}"
         )
     cfg_len = r.u32("config length")
-    config = ModelConfig.from_text(r.take(cfg_len, "config").decode())
+    raw_config = r.take(cfg_len, "config")
+    try:
+        config = ModelConfig.from_text(raw_config.decode())
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad config block at byte 12: {exc}") from exc
     model = BiTrUnetModel(config, seed=0, dtype=np.float32)
     n_params = r.u32("parameter count")
     if n_params != len(model.params):

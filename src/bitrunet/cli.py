@@ -7,6 +7,7 @@ selftest. Exit codes: 0 success, 1 usage error, 2 data or check failure.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,18 +27,16 @@ from .data import (
 from .gradcheck import check_model_gradients, run_op_suite
 from .inference import (
     DEFAULT_ET_THRESHOLD,
-    InferenceConfig,
     PostprocConfig,
     external_to_internal,
-    internal_to_external,
     majority_vote,
-    predict_case,
+    mask_from_probs,
     predict_probs,
     tta_predict,
     volume_threshold_postprocess,
 )
 from .metrics import evaluate_case, format_report, hd95
-from .model import BiTrUnetModel, ModelConfig
+from .model import BiTrUnetModel, ModelConfig, parse_key_values
 from .nifti import NiftiError, read_nifti, write_nifti
 from .training import AugmentConfig, LossConfig, TrainConfig, train_loop
 
@@ -101,18 +100,40 @@ def _build_parser():
 # helpers
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path):
-    kv = {}
+# train config key -> (type, default); a key not listed here is an error.
+# The integer ModelConfig fields come first; crop_size stands in for
+# input_size on every axis.
+_MODEL_KEYS = [f.name for f in fields(ModelConfig) if f.name != "input_size"]
+_TRAIN_KEYS = {
+    **{k: (int, getattr(ModelConfig, k)) for k in _MODEL_KEYS},
+    "crop_size": (int, 32),
+    "seed": (int, 0),
+    "augment": (int, 1),
+    "shift": (float, 0.1),
+    "scale_min": (float, 0.9),
+    "scale_max": (float, 1.1),
+    "iters": (int, 300),
+    "base_lr": (float, 2e-4),
+    "power": (float, 0.9),
+    "batch_size": (int, 1),
+    "grad_accum": (int, 1),
+    "checkpoint_every": (int, 0),
+    "w_ce": (float, 1.0),
+    "w_dice": (float, 1.0),
+}
+
+
+def _load_train_config(path):
+    """Every ``_TRAIN_KEYS`` setting, from the file or its default."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: malformed config line {line!r}")
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
-    return kv
+        kv = parse_key_values(fh.read(), path)
+    unknown = sorted(set(kv) - set(_TRAIN_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    return {
+        k: cast(kv[k]) if k in kv else default
+        for k, (cast, default) in _TRAIN_KEYS.items()
+    }
 
 
 def _find_modality_files(case_dir):
@@ -200,48 +221,33 @@ def _cmd_preprocess(args):
     return 0
 
 
-def _cfg_get(kv, key, cast, default):
-    return cast(kv[key]) if key in kv else default
-
-
 def _cmd_train(args):
-    kv = _load_config_file(args.config)
-    crop = _cfg_get(kv, "crop_size", int, 32)
+    c = _load_train_config(args.config)
+    crop = c["crop_size"]
     model_cfg = ModelConfig(
-        in_channels=_cfg_get(kv, "in_channels", int, 4),
-        base_width=_cfg_get(kv, "base_width", int, 16),
-        num_classes=_cfg_get(kv, "num_classes", int, 4),
-        embed_dim=_cfg_get(kv, "embed_dim", int, 384),
-        vit_layers=_cfg_get(kv, "vit_layers", int, 4),
-        heads=_cfg_get(kv, "heads", int, 8),
-        ffn_hidden=_cfg_get(kv, "ffn_hidden", int, 0),
         input_size=(crop, crop, crop),
-        cbam_reduction=_cfg_get(kv, "cbam_reduction", int, 8),
-        norm_groups=_cfg_get(kv, "norm_groups", int, 8),
+        **{k: c[k] for k in _MODEL_KEYS},
     )
-    seed = _cfg_get(kv, "seed", int, 0)
-    use_augment = _cfg_get(kv, "augment", int, 1)
+    use_augment = c["augment"]
     augment_cfg = None
     if use_augment:
         augment_cfg = AugmentConfig(
             crop_size=crop,
-            shift_range=(-_cfg_get(kv, "shift", float, 0.1),
-                         _cfg_get(kv, "shift", float, 0.1)),
-            scale_range=(_cfg_get(kv, "scale_min", float, 0.9),
-                         _cfg_get(kv, "scale_max", float, 1.1)),
+            shift_range=(-c["shift"], c["shift"]),
+            scale_range=(c["scale_min"], c["scale_max"]),
         )
     train_cfg = TrainConfig(
-        iters=_cfg_get(kv, "iters", int, 300),
-        base_lr=_cfg_get(kv, "base_lr", float, 2e-4),
-        power=_cfg_get(kv, "power", float, 0.9),
-        batch_size=_cfg_get(kv, "batch_size", int, 1),
-        grad_accum=_cfg_get(kv, "grad_accum", int, 1),
-        seed=seed,
-        checkpoint_every=_cfg_get(kv, "checkpoint_every", int, 0),
+        iters=c["iters"],
+        base_lr=c["base_lr"],
+        power=c["power"],
+        batch_size=c["batch_size"],
+        grad_accum=c["grad_accum"],
+        seed=c["seed"],
+        checkpoint_every=c["checkpoint_every"],
         augment=augment_cfg,
         loss=LossConfig(
-            w_ce=_cfg_get(kv, "w_ce", float, 1.0),
-            w_dice=_cfg_get(kv, "w_dice", float, 1.0),
+            w_ce=c["w_ce"],
+            w_dice=c["w_dice"],
             num_classes=model_cfg.num_classes,
         ),
     )
@@ -264,7 +270,7 @@ def _cmd_train(args):
                 f"input {model_cfg.input_size} and augmentation is off"
             )
         dataset.append((rec.volume.data, label))
-    model = BiTrUnetModel(model_cfg, seed=seed, dtype=np.float32)
+    model = BiTrUnetModel(model_cfg, seed=c["seed"], dtype=np.float32)
     history = train_loop(model, dataset, train_cfg, out_dir=args.out)
     if history:
         it, lr, total, ce, dce = history[-1]
@@ -281,19 +287,11 @@ def _cmd_predict(args):
     record = _load_input_case(args.input)
     target = models[0].config.input_size
     data, region = pad_to_shape(record.volume.data, target)
-    cfg = InferenceConfig(
-        tta=args.tta, postproc=_postproc_from_threshold(args.postproc_threshold)
-    )
+    predictor = tta_predict if args.tta else predict_probs
+    probs = [predictor(m, data) for m in models]
+    mask = mask_from_probs(probs, _postproc_from_threshold(args.postproc_threshold))
     if args.dump_probs:
-        predictor = tta_predict if args.tta else predict_probs
-        probs = [predictor(m, data) for m in models]
-        masks = [p.argmax(axis=0) for p in probs]
-        voted = majority_vote(masks, probs)
-        cleaned = volume_threshold_postprocess(voted, cfg.postproc)
-        mask = internal_to_external(cleaned)
         _write_prob_dump(args.dump_probs, np.mean(np.stack(probs), axis=0))
-    else:
-        mask = predict_case(models, data, cfg)
     mask = mask[region]
     write_nifti(args.out, mask.astype(np.uint8), spacing=record.volume.spacing)
     labels = sorted(np.unique(mask).tolist())
@@ -307,12 +305,8 @@ def _cmd_ensemble(args):
     for p, path in zip(probs, args.probs):
         if p.shape != shape:
             raise ValueError(f"{path}: shape {p.shape} differs from {shape}")
-    masks = [p.argmax(axis=0) for p in probs]
-    voted = majority_vote(masks, probs)
-    cleaned = volume_threshold_postprocess(
-        voted, _postproc_from_threshold(args.postproc_threshold)
-    )
-    write_nifti(args.out, internal_to_external(cleaned).astype(np.uint8))
+    mask = mask_from_probs(probs, _postproc_from_threshold(args.postproc_threshold))
+    write_nifti(args.out, mask.astype(np.uint8))
     print(f"wrote {args.out} from {len(probs)} probability maps")
     return 0
 

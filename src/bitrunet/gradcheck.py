@@ -196,11 +196,6 @@ def _suite_builders():
         p = _probe(rng, (1, 5, 3, 3, 3))
         return [a, b], lambda: p(T.concat([a, b], axis=1))
 
-    def b_flip(rng):
-        x = _rand(rng, (1, 2, 3, 4, 3))
-        p = _probe(rng, (1, 2, 3, 4, 3))
-        return [x], lambda: p(T.flip(x, (2, 4)))
-
     def b_reshape(rng):
         x = _rand(rng, (2, 3, 4))
         p = _probe(rng, (6, 4))
@@ -246,7 +241,6 @@ def _suite_builders():
         "global_avg_pool": b_avg_pool,
         "global_max_pool": b_max_pool,
         "concat": b_concat,
-        "flip": b_flip,
         "reshape": b_reshape,
         "transpose_last2": b_transpose,
         "sum_axis": b_sum_axis,

@@ -2,7 +2,7 @@
 with averaged-probability tie-breaking, and small-component postprocessing.
 
 Everything here is tape-free numpy on frozen models. Masks flowing through
-this module use internal labels 0..K-1; ``predict_case`` converts to the
+this module use internal labels 0..K-1; ``mask_from_probs`` converts to the
 external vocabulary {0, 1, 2, 4} at the very end.
 """
 
@@ -164,14 +164,15 @@ class InferenceConfig:
     postproc: PostprocConfig = field(default_factory=PostprocConfig)
 
 
-def predict_case(models, x, cfg):
-    """Full pipeline: per-model (TTA) probabilities, argmax masks, majority
-    vote, postprocessing; returns a mask in the external label vocabulary."""
-    if not models:
-        raise ValueError("predict_case: empty model list")
-    predict = tta_predict if cfg.tta else predict_probs
-    probs = [predict(m, x) for m in models]
+def mask_from_probs(probs, postproc):
+    """Argmax each model's probability map, vote across models, then
+    postprocess; returns a mask in the external label vocabulary."""
     masks = [p.argmax(axis=0) for p in probs]
     voted = majority_vote(masks, probs)
-    cleaned = volume_threshold_postprocess(voted, cfg.postproc)
-    return internal_to_external(cleaned)
+    return internal_to_external(volume_threshold_postprocess(voted, postproc))
+
+
+def predict_case(models, x, cfg):
+    """Full pipeline: per-model (TTA) probabilities into ``mask_from_probs``."""
+    predict = tta_predict if cfg.tta else predict_probs
+    return mask_from_probs([predict(m, x) for m in models], cfg.postproc)

@@ -5,9 +5,9 @@ convolution is the input-gradient computation run forward, so it reuses
 ``conv3d_input_grad``; its gradients in turn reuse ``conv3d_forward`` and
 ``conv3d_weight_grad`` with the argument roles swapped.
 
-Each primitive has a numba-jitted flavor (``*_nb``) and a pure-numpy flavor
-(``*_np``). The public names bind to one of them according to
-``backend.USE_NUMBA``; both stay importable for the benchmark.
+Each primitive is plain numpy: the forward pass is one einsum over a
+strided sliding-window view, and both backward passes loop over the kernel
+taps with one vectorized einsum per tap, so the contractions run on BLAS.
 
 Conventions: input (N, Cin, H, W, D), weight (Cout, Cin, kh, kw, kd),
 output (N, Cout, H', W', D'), all C-contiguous. No bias here; bias-add is a
@@ -16,17 +16,11 @@ separate tape op.
 
 import numpy as np
 
-from .backend import USE_NUMBA, njit, prange
-
 
 def conv_out_size(n, k, stride, pad):
     """Spatial output size of a forward convolution along one axis."""
     return (n + 2 * pad - k) // stride + 1
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy flavor
-# ---------------------------------------------------------------------------
 
 def _pad_spatial(x, pad):
     if pad == 0:
@@ -35,7 +29,7 @@ def _pad_spatial(x, pad):
     return np.pad(x, p)
 
 
-def conv3d_forward_np(x, w, stride, pad):
+def conv3d_forward(x, w, stride, pad):
     kh, kw, kd = w.shape[2:]
     xp = _pad_spatial(x, pad)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, kd), axis=(2, 3, 4))
@@ -44,7 +38,7 @@ def conv3d_forward_np(x, w, stride, pad):
     return np.einsum("ncxyzijk,ocijk->noxyz", win, w, optimize=True)
 
 
-def conv3d_weight_grad_np(x, gy, stride, pad, kernel):
+def conv3d_weight_grad(x, gy, stride, pad, kernel):
     kh, kw, kd = kernel
     xp = _pad_spatial(x, pad)
     oh, ow, od = gy.shape[2:]
@@ -67,7 +61,7 @@ def conv3d_weight_grad_np(x, gy, stride, pad, kernel):
     return gw
 
 
-def conv3d_input_grad_np(gy, w, stride, pad, in_spatial):
+def conv3d_input_grad(gy, w, stride, pad, in_spatial):
     n, cout = gy.shape[:2]
     cin = w.shape[1]
     kh, kw, kd = w.shape[2:]
@@ -91,164 +85,3 @@ def conv3d_input_grad_np(gy, w, stride, pad, in_spatial):
     if pad == 0:
         return gxp
     return np.ascontiguousarray(gxp[:, :, pad:-pad, pad:-pad, pad:-pad])
-
-
-# ---------------------------------------------------------------------------
-# numba flavor
-# ---------------------------------------------------------------------------
-
-# The jitted loops run on a zero-padded copy of the input, so the inner
-# loops carry no bounds checks and the innermost axis is contiguous. The
-# stride is baked in as a closure constant (one compiled flavor per stride),
-# which is what lets LLVM vectorize the innermost loops. Each prange unit
-# owns disjoint output cells: results are bit-identical regardless of thread
-# count.
-
-def _make_forward(stride):
-    @njit(cache=True, parallel=True, fastmath=True)
-    def kern(xp, w, out):
-        n, cin = xp.shape[0], xp.shape[1]
-        cout = w.shape[0]
-        kh, kw, kd = w.shape[2], w.shape[3], w.shape[4]
-        oh, ow, od = out.shape[2], out.shape[3], out.shape[4]
-        for bo in prange(n * cout):
-            b = bo // cout
-            o = bo % cout
-            for ox in range(oh):
-                for oy in range(ow):
-                    orow = out[b, o, ox, oy]
-                    for oz in range(od):
-                        orow[oz] = 0.0
-                    for c in range(cin):
-                        for i in range(kh):
-                            xi = ox * stride + i
-                            for j in range(kw):
-                                xrow = xp[b, c, xi, oy * stride + j]
-                                for k in range(kd):
-                                    wv = w[o, c, i, j, k]
-                                    for oz in range(od):
-                                        orow[oz] += wv * xrow[oz * stride + k]
-
-    return kern
-
-
-def _make_input_grad(stride):
-    @njit(cache=True, parallel=True, fastmath=True)
-    def kern(gy, w, gxp):
-        n, cout, oh, ow, od = gy.shape
-        cin = w.shape[1]
-        kh, kw, kd = w.shape[2], w.shape[3], w.shape[4]
-        for bc in prange(n * cin):
-            b = bc // cin
-            c = bc % cin
-            for o in range(cout):
-                for ox in range(oh):
-                    for oy in range(ow):
-                        grow = gy[b, o, ox, oy]
-                        for i in range(kh):
-                            xi = ox * stride + i
-                            for j in range(kw):
-                                xrow = gxp[b, c, xi, oy * stride + j]
-                                for k in range(kd):
-                                    wv = w[o, c, i, j, k]
-                                    for oz in range(od):
-                                        xrow[oz * stride + k] += wv * grow[oz]
-
-    return kern
-
-
-def _make_weight_grad(stride):
-    @njit(cache=True, parallel=True, fastmath=True)
-    def kern(xp, gy, gw):
-        n, cout, oh, ow, od = gy.shape
-        cin = xp.shape[1]
-        kh, kw, kd = gw.shape[2], gw.shape[3], gw.shape[4]
-        for oc in prange(cout * cin):
-            o = oc // cin
-            c = oc % cin
-            for i in range(kh):
-                for j in range(kw):
-                    for k in range(kd):
-                        acc = 0.0
-                        for b in range(n):
-                            for ox in range(oh):
-                                xi = ox * stride + i
-                                for oy in range(ow):
-                                    xrow = xp[b, c, xi, oy * stride + j]
-                                    grow = gy[b, o, ox, oy]
-                                    for oz in range(od):
-                                        acc += grow[oz] * xrow[oz * stride + k]
-                        gw[o, c, i, j, k] = acc
-
-    return kern
-
-
-_FWD = {1: _make_forward(1), 2: _make_forward(2)}
-_IGRAD = {1: _make_input_grad(1), 2: _make_input_grad(2)}
-_WGRAD = {1: _make_weight_grad(1), 2: _make_weight_grad(2)}
-
-
-def _fwd_kernel(stride, table=_FWD, make=_make_forward):
-    k = table.get(stride)
-    if k is None:
-        k = table[stride] = make(stride)
-    return k
-
-
-def conv3d_forward_nb(x, w, stride, pad):
-    n = x.shape[0]
-    cout, kh, kw, kd = w.shape[0], w.shape[2], w.shape[3], w.shape[4]
-    out = np.empty(
-        (
-            n,
-            cout,
-            conv_out_size(x.shape[2], kh, stride, pad),
-            conv_out_size(x.shape[3], kw, stride, pad),
-            conv_out_size(x.shape[4], kd, stride, pad),
-        ),
-        dtype=x.dtype,
-    )
-    xp = _pad_spatial(np.ascontiguousarray(x), pad)
-    _fwd_kernel(stride)(xp, np.ascontiguousarray(w), out)
-    return out
-
-
-def conv3d_input_grad_nb(gy, w, stride, pad, in_spatial):
-    kh, kw, kd = w.shape[2:]
-    if stride == 1 and kh == kw == kd and kh - 1 - pad >= 0:
-        # at stride 1 the input gradient is a correlation with the
-        # channel-transposed, spatially flipped kernel: reuse the fast path
-        wt = np.ascontiguousarray(
-            w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-        )
-        return conv3d_forward_nb(gy, wt, 1, kh - 1 - pad)
-    n = gy.shape[0]
-    cin = w.shape[1]
-    gxp = np.zeros(
-        (n, cin) + tuple(s + 2 * pad for s in in_spatial), dtype=gy.dtype
-    )
-    _fwd_kernel(stride, _IGRAD, _make_input_grad)(
-        np.ascontiguousarray(gy), np.ascontiguousarray(w), gxp
-    )
-    if pad == 0:
-        return gxp
-    return np.ascontiguousarray(gxp[:, :, pad:-pad, pad:-pad, pad:-pad])
-
-
-def conv3d_weight_grad_nb(x, gy, stride, pad, kernel):
-    cout = gy.shape[1]
-    cin = x.shape[1]
-    gw = np.empty((cout, cin) + tuple(kernel), dtype=x.dtype)
-    xp = _pad_spatial(np.ascontiguousarray(x), pad)
-    _fwd_kernel(stride, _WGRAD, _make_weight_grad)(xp, np.ascontiguousarray(gy), gw)
-    return gw
-
-
-if USE_NUMBA:
-    conv3d_forward = conv3d_forward_nb
-    conv3d_input_grad = conv3d_input_grad_nb
-    conv3d_weight_grad = conv3d_weight_grad_nb
-else:
-    conv3d_forward = conv3d_forward_np
-    conv3d_input_grad = conv3d_input_grad_np
-    conv3d_weight_grad = conv3d_weight_grad_np

@@ -17,7 +17,7 @@ and ReLU; those choices live in ModelConfig so they are auditable.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,26 +94,28 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text):
-        kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
-        size = tuple(int(s) for s in kv["input_size"].split(","))
-        return cls(
-            in_channels=int(kv["in_channels"]),
-            base_width=int(kv["base_width"]),
-            num_classes=int(kv["num_classes"]),
-            embed_dim=int(kv["embed_dim"]),
-            vit_layers=int(kv["vit_layers"]),
-            heads=int(kv["heads"]),
-            ffn_hidden=int(kv["ffn_hidden"]),
-            input_size=size,
-            cbam_reduction=int(kv["cbam_reduction"]),
-            norm_groups=int(kv["norm_groups"]),
-        )
+        kv = parse_key_values(text, "model config")
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in kv]
+        if missing:
+            raise ValueError(f"model config is missing key(s): {', '.join(missing)}")
+        values = {n: int(kv[n]) for n in names if n != "input_size"}
+        values["input_size"] = tuple(int(n) for n in kv["input_size"].split(","))
+        return cls(**values)
+
+
+def parse_key_values(text, source):
+    """``key=value`` lines into a dict; blank lines and ``#`` comments skip."""
+    kv = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{source}: malformed config line {line!r}")
+        k, _, v = line.partition("=")
+        kv[k.strip()] = v.strip()
+    return kv
 
 
 class _Builder:

@@ -447,7 +447,7 @@ def conv_transpose3d(x, spec, weight, bias, output_size=None):
 
 
 # ---------------------------------------------------------------------------
-# pooling, concatenation, flips, shape moves
+# pooling, concatenation, shape moves
 # ---------------------------------------------------------------------------
 
 def global_avg_pool(x):
@@ -495,23 +495,6 @@ def concat(xs, axis):
             for t, g in zip(xs, np.split(gy, splits, axis=axis)):
                 _accum(t, g)
         _record(tuple(xs), out, rule)
-    return out
-
-
-def flip(x, axes):
-    """Reverse the listed spatial axes (the trailing three)."""
-    axes = tuple(sorted(axes))
-    spatial = set(range(x.ndim - 3, x.ndim))
-    if not set(axes) <= spatial:
-        raise ValueError(
-            f"flip axes {axes} must be spatial axes {sorted(spatial)} "
-            f"for shape {x.shape}"
-        )
-    out = Tensor(np.flip(x.data, axes).copy())
-    if _recording(x):
-        def rule(gy):
-            _accum(x, np.flip(gy, axes))
-        _record((x,), out, rule)
     return out
 
 

@@ -1,5 +1,7 @@
 """End-to-end command-line workflows on synthetic data."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,36 @@ class TestTrain(object):
         assert float(lines[0].split("\t")[1]) == pytest.approx(2e-4)
 
 
+class TestTrainConfig(object):
+    def _train(self, workspace, tmp_path, text):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(text)
+        run = tmp_path / "run"
+        code = cli(["train", "--data", str(workspace / "cache"), "--out", str(run),
+                    "--config", str(cfg)])
+        return code, run
+
+    def test_unknown_key_is_data_error(self, workspace, tmp_path, capsys):
+        code, _ = self._train(
+            workspace, tmp_path,
+            "base_width=4\nembed_dim=16\nvit_layers=1\nheads=2\n"
+            "num_classes=2\ncrop_size=16\niter=5\naugment=0\n",
+        )
+        assert code == 2
+        assert "iter" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.ckpt"))
+
+    def test_key_unused_by_other_settings_is_accepted(self, workspace, tmp_path):
+        # shift only matters with augmentation on, but it is a known key
+        code, run = self._train(
+            workspace, tmp_path,
+            "base_width=4\nembed_dim=16\nvit_layers=1\nheads=2\n"
+            "num_classes=2\ncrop_size=16\niters=0\naugment=0\nshift=0.2\n",
+        )
+        assert code == 0
+        assert (run / "checkpoint_000000.ckpt").exists()
+
+
 class TestPredict(object):
     def test_labels_in_external_vocabulary(self, workspace, tmp_path):
         out = tmp_path / "seg.nii.gz"
@@ -115,6 +147,27 @@ class TestPredict(object):
             "--out", str(tmp_path / "x.nii.gz"),
         ])
         assert code == 2
+
+    def test_checkpoint_missing_config_key_is_data_error(self, workspace, tmp_path, capsys):
+        buf = (workspace / "run" / "checkpoint_final.ckpt").read_bytes()
+        cfg_len = struct.unpack("<I", buf[8:12])[0]
+        config = buf[12 : 12 + cfg_len].decode()
+        lines = [ln for ln in config.splitlines(True) if not ln.startswith("norm_groups=")]
+        assert len(lines) == len(config.splitlines()) - 1
+        new_cfg = "".join(lines).encode()
+        ckpt = tmp_path / "no_norm_groups.ckpt"
+        ckpt.write_bytes(
+            buf[:8] + struct.pack("<I", len(new_cfg)) + new_cfg + buf[12 + cfg_len :]
+        )
+        code = cli([
+            "predict", "--models", str(ckpt),
+            "--input", str(workspace / "cache" / "case1.btrc"),
+            "--out", str(tmp_path / "x.nii.gz"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "norm_groups" in err
+        assert str(ckpt) in err
 
 
 class TestEnsemble(object):
