@@ -30,14 +30,19 @@ class CheckpointError(ValueError):
 
 
 class _Reader:
-    def __init__(self, buf, label):
+    """Bounds-checked reads from a byte buffer; running past its end raises
+    ``error`` naming the field and the byte offset. The case cache reads
+    through it too."""
+
+    def __init__(self, buf, label, error=CheckpointError):
         self.buf = buf
         self.pos = 0
         self.label = label
+        self.error = error
 
     def take(self, n, what):
         if self.pos + n > len(self.buf):
-            raise CheckpointError(
+            raise self.error(
                 f"{self.label}: truncated while reading {what} at byte {self.pos} "
                 f"(need {n} bytes, {len(self.buf) - self.pos} left)"
             )
@@ -45,8 +50,11 @@ class _Reader:
         self.pos += n
         return out
 
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
     def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
+        return self.unpack("<I", what)[0]
 
 
 def save_checkpoint(model, path):
@@ -95,15 +103,22 @@ def load_checkpoint(path):
             f"{path}: {n_params} parameters in file, model needs "
             f"{len(model.params)}"
         )
+    seen = set()
     for _ in range(n_params):
         name_len = r.u32("name length")
+        name_at = r.pos
         name = r.take(name_len, "name").decode()
         if name not in model.params:
             raise CheckpointError(
                 f"{path}: unknown parameter {name!r} near byte {r.pos}"
             )
+        if name in seen:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} repeated at byte {name_at}"
+            )
+        seen.add(name)
         rank = r.u32(f"{name} rank")
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"{name} dims"))
+        dims = r.unpack(f"<{rank}I", f"{name} dims")
         t = model.params[name]
         if dims != t.shape:
             raise CheckpointError(

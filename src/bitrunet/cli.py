@@ -100,26 +100,27 @@ def _build_parser():
 # helpers
 # ---------------------------------------------------------------------------
 
+def _field_keys(cls, *skip):
+    """key -> (type, default) for the fields of a config dataclass."""
+    return {f.name: (f.type, f.default) for f in fields(cls) if f.name not in skip}
+
+
 # train config key -> (type, default); a key not listed here is an error.
-# The integer ModelConfig fields come first; crop_size stands in for
-# input_size on every axis.
-_MODEL_KEYS = [f.name for f in fields(ModelConfig) if f.name != "input_size"]
+# Each section builds one config dataclass and takes its keys, types and
+# defaults from that class; crop_size stands in for input_size on every axis,
+# and the augmentation keys become AugmentConfig's ranges.
+_MODEL_KEYS = _field_keys(ModelConfig, "input_size")
+_LOOP_KEYS = _field_keys(TrainConfig, "augment", "loss")
+_LOSS_KEYS = _field_keys(LossConfig, "num_classes", "dice_eps")
+_AUGMENT_KEYS = {
+    "shift": (float, AugmentConfig.shift_range[1]),
+    "scale_min": (float, AugmentConfig.scale_range[0]),
+    "scale_max": (float, AugmentConfig.scale_range[1]),
+}
 _TRAIN_KEYS = {
-    **{k: (int, getattr(ModelConfig, k)) for k in _MODEL_KEYS},
+    **_MODEL_KEYS, **_LOOP_KEYS, **_LOSS_KEYS, **_AUGMENT_KEYS,
     "crop_size": (int, 32),
-    "seed": (int, 0),
     "augment": (int, 1),
-    "shift": (float, 0.1),
-    "scale_min": (float, 0.9),
-    "scale_max": (float, 1.1),
-    "iters": (int, 300),
-    "base_lr": (float, 2e-4),
-    "power": (float, 0.9),
-    "batch_size": (int, 1),
-    "grad_accum": (int, 1),
-    "checkpoint_every": (int, 0),
-    "w_ce": (float, 1.0),
-    "w_dice": (float, 1.0),
 }
 
 
@@ -223,11 +224,12 @@ def _cmd_preprocess(args):
 
 def _cmd_train(args):
     c = _load_train_config(args.config)
+
+    def section(keys):
+        return {k: c[k] for k in keys}
+
     crop = c["crop_size"]
-    model_cfg = ModelConfig(
-        input_size=(crop, crop, crop),
-        **{k: c[k] for k in _MODEL_KEYS},
-    )
+    model_cfg = ModelConfig(input_size=(crop, crop, crop), **section(_MODEL_KEYS))
     use_augment = c["augment"]
     augment_cfg = None
     if use_augment:
@@ -236,21 +238,8 @@ def _cmd_train(args):
             shift_range=(-c["shift"], c["shift"]),
             scale_range=(c["scale_min"], c["scale_max"]),
         )
-    train_cfg = TrainConfig(
-        iters=c["iters"],
-        base_lr=c["base_lr"],
-        power=c["power"],
-        batch_size=c["batch_size"],
-        grad_accum=c["grad_accum"],
-        seed=c["seed"],
-        checkpoint_every=c["checkpoint_every"],
-        augment=augment_cfg,
-        loss=LossConfig(
-            w_ce=c["w_ce"],
-            w_dice=c["w_dice"],
-            num_classes=model_cfg.num_classes,
-        ),
-    )
+    loss_cfg = LossConfig(num_classes=model_cfg.num_classes, **section(_LOSS_KEYS))
+    train_cfg = TrainConfig(augment=augment_cfg, loss=loss_cfg, **section(_LOOP_KEYS))
     files = sorted(
         os.path.join(args.data, f)
         for f in os.listdir(args.data)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import _Reader
 from .nifti import read_nifti
 
 MODALITY_ORDER = ("t1", "t1c", "t2", "flair")
@@ -144,45 +145,27 @@ def load_case(path):
     body, crc_stored = buf[:-4], struct.unpack("<I", buf[-4:])[0]
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
         raise CacheError(f"{path}: CRC32 mismatch, file is corrupt")
-    pos = 4
-    (version,) = struct.unpack_from("<I", body, pos)
-    pos += 4
+    r = _Reader(body, str(path), CacheError)
+    r.take(4, "magic")  # checked above
+    version = r.u32("version")
     if version != CACHE_VERSION:
         raise CacheError(
             f"{path}: version {version} at byte 4, expected {CACHE_VERSION}"
         )
-    (id_len,) = struct.unpack_from("<I", body, pos)
-    pos += 4
-    case_id = body[pos : pos + id_len].decode()
-    pos += id_len
-    c, h, w, d = struct.unpack_from("<4I", body, pos)
-    pos += 16
-    spacing = struct.unpack_from("<3f", body, pos)
-    pos += 12
-    (flags,) = struct.unpack_from("<B", body, pos)
-    pos += 1
-    n_img = c * h * w * d
-    if len(body) < pos + 4 * n_img:
-        raise CacheError(f"{path}: truncated image payload at byte {pos}")
-    image = (
-        np.frombuffer(body, dtype="<f4", count=n_img, offset=pos)
-        .reshape(c, h, w, d)
-        .copy()
-    )
-    pos += 4 * n_img
+    case_id = r.take(r.u32("id length"), "case id").decode()
+    c, h, w, d = r.unpack("<4I", "dims")
+    spacing = r.unpack("<3f", "spacing")
+    (flags,) = r.unpack("<B", "flags")
+    image = np.frombuffer(r.take(4 * c * h * w * d, "image payload"), dtype="<f4")
+    image = image.reshape(c, h, w, d).copy()
     label = None
     if flags & 1:
-        n_lab = h * w * d
-        if len(body) < pos + n_lab:
-            raise CacheError(f"{path}: truncated label payload at byte {pos}")
-        label = (
-            np.frombuffer(body, dtype=np.uint8, count=n_lab, offset=pos)
-            .reshape(h, w, d)
-            .copy()
+        label = np.frombuffer(r.take(h * w * d, "label payload"), dtype=np.uint8)
+        label = label.reshape(h, w, d).copy()
+    if r.pos != len(body):
+        raise CacheError(
+            f"{path}: {len(body) - r.pos} unexpected bytes at byte {r.pos}"
         )
-        pos += n_lab
-    if pos != len(body):
-        raise CacheError(f"{path}: {len(body) - pos} unexpected bytes at byte {pos}")
     return CaseRecord(
         case_id=case_id,
         volume=Volume4D(image, spacing=tuple(spacing)),

@@ -1,9 +1,10 @@
 """Inference: 8-way flip test-time augmentation, per-voxel majority voting
 with averaged-probability tie-breaking, and small-component postprocessing.
 
-Everything here is tape-free numpy on frozen models. Masks flowing through
-this module use internal labels 0..K-1; ``mask_from_probs`` converts to the
-external vocabulary {0, 1, 2, 4} at the very end.
+Everything here is tape-free numpy on frozen models. A prediction is the
+per-model probabilities of ``predict_probs`` or ``tta_predict`` fed to
+``mask_from_probs``, which votes, postprocesses and converts the internal
+labels 0..K-1 to the external vocabulary {0, 1, 2, 4} at the very end.
 """
 
 import itertools
@@ -158,21 +159,9 @@ def volume_threshold_postprocess(mask, cfg):
     return out
 
 
-@dataclass
-class InferenceConfig:
-    tta: bool = True
-    postproc: PostprocConfig = field(default_factory=PostprocConfig)
-
-
 def mask_from_probs(probs, postproc):
     """Argmax each model's probability map, vote across models, then
     postprocess; returns a mask in the external label vocabulary."""
     masks = [p.argmax(axis=0) for p in probs]
     voted = majority_vote(masks, probs)
     return internal_to_external(volume_threshold_postprocess(voted, postproc))
-
-
-def predict_case(models, x, cfg):
-    """Full pipeline: per-model (TTA) probabilities into ``mask_from_probs``."""
-    predict = tta_predict if cfg.tta else predict_probs
-    return mask_from_probs([predict(m, x) for m in models], cfg.postproc)

@@ -28,9 +28,8 @@ from .tensor import (
     concat,
     conv3d,
     conv_transpose3d,
+    div,
     gelu,
-    global_avg_pool,
-    global_max_pool,
     layer_norm,
     matmul,
     mul,
@@ -77,20 +76,9 @@ class ModelConfig:
         return [self.base_width * 2 ** i for i in range(5)]
 
     def to_text(self):
-        h, w, d = self.input_size
-        keys = [
-            ("in_channels", self.in_channels),
-            ("base_width", self.base_width),
-            ("num_classes", self.num_classes),
-            ("embed_dim", self.embed_dim),
-            ("vit_layers", self.vit_layers),
-            ("heads", self.heads),
-            ("ffn_hidden", self.ffn_hidden),
-            ("input_size", f"{h},{w},{d}"),
-            ("cbam_reduction", self.cbam_reduction),
-            ("norm_groups", self.norm_groups),
-        ]
-        return "".join(f"{k}={v}\n" for k, v in keys)
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["input_size"] = ",".join(str(s) for s in self.input_size)
+        return "".join(f"{k}={v}\n" for k, v in values.items())
 
     @classmethod
     def from_text(cls, text):
@@ -225,8 +213,11 @@ class CbamBlock:
     def channel_attention(self, f):
         """Per-channel gate (N, C, 1, 1, 1), entries in (0, 1)."""
         n, c = f.shape[:2]
-        avg = reshape(global_avg_pool(f), (n, c))
-        mx = reshape(global_max_pool(f), (n, c))
+        n_sp = f.shape[2] * f.shape[3] * f.shape[4]
+        # each pool reads f itself: a reshape shared by both would change the
+        # order in which their gradients add into f, and so the last bit
+        avg = div(tsum(f, axis=(2, 3, 4)), n_sp)
+        mx = tmax(reshape(f, (n, c, n_sp)), axis=-1)
         gate = sigmoid(add(self._mlp(avg), self._mlp(mx)))
         return reshape(gate, (n, c, 1, 1, 1))
 
@@ -278,30 +269,29 @@ def _norm_tokens(z, gamma, beta):
     return transpose_last2(layer_norm(transpose_last2(z), gamma, beta))
 
 
+def _attention_map(zn, layer):
+    """The (B, heads, N, N) softmax map of normalized tokens (B, d, N)."""
+    bsz, d, n = zn.shape
+    dh = d // layer.heads
+    q = reshape(add(matmul(layer.wq, zn), layer.bq), (bsz, layer.heads, dh, n))
+    k = reshape(add(matmul(layer.wk, zn), layer.bk), (bsz, layer.heads, dh, n))
+    scores = mul(matmul(transpose_last2(q), k), 1.0 / math.sqrt(dh))
+    return softmax(scores, axis=-1)
+
+
 def multi_head_attention(z, layer):
     """Scaled dot-product attention over token columns of (B, d, N)."""
     bsz, d, n = z.shape
-    heads = layer.heads
-    dh = d // heads
-    q = reshape(add(matmul(layer.wq, z), layer.bq), (bsz, heads, dh, n))
-    k = reshape(add(matmul(layer.wk, z), layer.bk), (bsz, heads, dh, n))
-    v = reshape(add(matmul(layer.wv, z), layer.bv), (bsz, heads, dh, n))
-    scores = mul(matmul(transpose_last2(q), k), 1.0 / math.sqrt(dh))
-    weights = softmax(scores, axis=-1)
+    # v after the map: backward adds the v, k, q gradients into z in that order
+    weights = _attention_map(z, layer)
+    v = reshape(add(matmul(layer.wv, z), layer.bv), (bsz, layer.heads, -1, n))
     mixed = matmul(v, transpose_last2(weights))
     return add(matmul(layer.wo, reshape(mixed, (bsz, d, n))), layer.bo)
 
 
 def attention_weights(z, layer):
     """The (B, heads, N, N) softmax attention map, for inspection."""
-    bsz, d, n = z.shape
-    heads = layer.heads
-    dh = d // heads
-    zn = _norm_tokens(z, layer.ln1_g, layer.ln1_b)
-    q = reshape(add(matmul(layer.wq, zn), layer.bq), (bsz, heads, dh, n))
-    k = reshape(add(matmul(layer.wk, zn), layer.bk), (bsz, heads, dh, n))
-    scores = mul(matmul(transpose_last2(q), k), 1.0 / math.sqrt(dh))
-    return softmax(scores, axis=-1)
+    return _attention_map(_norm_tokens(z, layer.ln1_g, layer.ln1_b), layer)
 
 
 def transformer_layer(z, layer):

@@ -90,6 +90,11 @@ def parse_header(buf, label="<nifti>"):
         )
     pixdim = struct.unpack(f"{endian}8f", buf[76:108])
     vox_offset, scl_slope, scl_inter = struct.unpack(f"{endian}3f", buf[108:120])
+    if not vox_offset >= HEADER_SIZE + 4:
+        raise NiftiError(
+            f"{label}: vox_offset {vox_offset:g} at byte 108 is below "
+            f"{HEADER_SIZE + 4}; voxel data cannot start inside the header"
+        )
     return NiftiHeader(
         dims=dims,
         datatype=datatype,

@@ -447,39 +447,8 @@ def conv_transpose3d(x, spec, weight, bias, output_size=None):
 
 
 # ---------------------------------------------------------------------------
-# pooling, concatenation, shape moves
+# concatenation, shape moves
 # ---------------------------------------------------------------------------
-
-def global_avg_pool(x):
-    """Mean over the spatial axes of (N,C,H,W,D), keeping them as size 1."""
-    if x.ndim != 5:
-        raise ValueError(f"global_avg_pool expects 5D input, got {x.shape}")
-    n_sp = x.shape[2] * x.shape[3] * x.shape[4]
-    out = Tensor(x.data.mean(axis=(2, 3, 4), keepdims=True))
-    if _recording(x):
-        def rule(gy):
-            _accum(x, np.broadcast_to(gy / n_sp, x.shape).copy())
-        _record((x,), out, rule)
-    return out
-
-
-def global_max_pool(x):
-    """Max over the spatial axes of (N,C,H,W,D), keeping them as size 1."""
-    if x.ndim != 5:
-        raise ValueError(f"global_max_pool expects 5D input, got {x.shape}")
-    n, c = x.shape[:2]
-    flat = x.data.reshape(n, c, -1)
-    idx = flat.argmax(axis=-1)
-    out = Tensor(flat.max(axis=-1).reshape(n, c, 1, 1, 1))
-    if _recording(x):
-        def rule(gy):
-            g = np.zeros_like(flat)
-            ii, jj = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-            g[ii, jj, idx] = gy.reshape(n, c)
-            _accum(x, g.reshape(x.shape))
-        _record((x,), out, rule)
-    return out
-
 
 def concat(xs, axis):
     """Concatenate tensors along ``axis``."""
@@ -523,7 +492,7 @@ def transpose_last2(x):
 # ---------------------------------------------------------------------------
 
 def tsum(x, axis=None, keepdims=False):
-    """Sum over ``axis`` (all elements when None)."""
+    """Sum over ``axis``, an int or a tuple of ints (all elements when None)."""
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
     if _recording(x):
         def rule(gy):
@@ -531,17 +500,6 @@ def tsum(x, axis=None, keepdims=False):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accum(x, np.broadcast_to(g, x.shape).copy())
-        _record((x,), out, rule)
-    return out
-
-
-def tmean(x):
-    """Mean of all elements (scalar)."""
-    n = x.size
-    out = Tensor(x.data.mean(keepdims=True).reshape(()))
-    if _recording(x):
-        def rule(gy):
-            _accum(x, np.broadcast_to(gy / n, x.shape).copy())
         _record((x,), out, rule)
     return out
 

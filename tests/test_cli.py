@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on synthetic data."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ class TestTrain(object):
         lines = (run / "loss_log.tsv").read_text().strip().split("\n")
         assert len(lines) == 12
         assert float(lines[0].split("\t")[1]) == pytest.approx(2e-4)
+
+    def test_truncated_cache_is_data_error(self, tmp_path, capsys):
+        # cut after the version field, with a CRC32 that matches the cut body
+        body = b"BTRC" + struct.pack("<I", 1)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "cut.btrc").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("iters=1\n")
+        code = cli(["train", "--data", str(cache), "--out", str(tmp_path / "run"),
+                    "--config", str(cfg)])
+        assert code == 2
+        assert "id length at byte 8" in capsys.readouterr().err
 
 
 class TestTrainConfig(object):
@@ -168,6 +182,23 @@ class TestPredict(object):
         err = capsys.readouterr().err
         assert "norm_groups" in err
         assert str(ckpt) in err
+
+    def test_checkpoint_repeated_parameter_is_data_error(self, workspace, tmp_path, capsys):
+        # e2.cbam.spatial_w renamed to e1.cbam.spatial_w: the count still
+        # matches, but one name is repeated and the other is missing
+        buf = (workspace / "run" / "checkpoint_final.ckpt").read_bytes()
+        assert buf.count(b"e2.cbam.spatial_w") == 1
+        at = buf.index(b"e2.cbam.spatial_w")
+        ckpt = tmp_path / "repeated.ckpt"
+        ckpt.write_bytes(buf.replace(b"e2.cbam.spatial_w", b"e1.cbam.spatial_w"))
+        code = cli([
+            "predict", "--models", str(ckpt),
+            "--input", str(workspace / "cache" / "case1.btrc"),
+            "--out", str(tmp_path / "x.nii.gz"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'e1.cbam.spatial_w' repeated at byte {at}" in err
 
 
 class TestEnsemble(object):

@@ -6,14 +6,13 @@ import pytest
 from bitrunet import reference
 from bitrunet.data import make_sphere_case
 from bitrunet.inference import (
-    InferenceConfig,
     PostprocConfig,
     apply_flip,
     external_to_internal,
     flip_combos,
     internal_to_external,
     majority_vote,
-    predict_case,
+    mask_from_probs,
     predict_probs,
     tta_predict,
     volume_threshold_postprocess,
@@ -232,9 +231,11 @@ class TestPostprocess:
 
 
 class TestPredictCase:
+    """The predict pipeline: per-model probabilities into ``mask_from_probs``."""
+
     def test_background_stub_gives_all_zero(self):
         x = rng.standard_normal((4, 16, 16, 16))
-        out = predict_case([BackgroundModel()], x, InferenceConfig(tta=False))
+        out = mask_from_probs([predict_probs(BackgroundModel(), x)], PostprocConfig())
         assert out.shape == (16, 16, 16)
         assert (out == 0).all()
 
@@ -243,24 +244,25 @@ class TestPredictCase:
         scores = np.full(4, -5.0)
         scores[3] = 5.0
         x = rng.standard_normal((4, 16, 16, 16))
-        out = predict_case([ConstantScoreModel(scores)], x, InferenceConfig(tta=False))
+        probs = predict_probs(ConstantScoreModel(scores), x)
+        out = mask_from_probs([probs], PostprocConfig())
         assert (out == 4).all()
 
     def test_single_model_pipeline_decomposition(self):
         model = tiny_trained_model(iters=6)
         rec = make_sphere_case(size=16, radius=5, seed=12)
         x = rec.volume.data
-        cfg = InferenceConfig(tta=True, postproc=PostprocConfig(thresholds={1: 3}))
-        got = predict_case([model], x, cfg)
+        postproc = PostprocConfig(thresholds={1: 3})
         probs = tta_predict(model, x)
+        got = mask_from_probs([probs], postproc)
         expect = internal_to_external(
-            volume_threshold_postprocess(probs.argmax(axis=0), cfg.postproc)
+            volume_threshold_postprocess(probs.argmax(axis=0), postproc)
         )
         assert np.array_equal(got, expect)
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            predict_case([], np.zeros((4, 16, 16, 16)), InferenceConfig())
+            mask_from_probs([], PostprocConfig())
 
     def test_tta_false_uses_single_pass(self):
         model = tiny_trained_model(iters=4)

@@ -81,6 +81,17 @@ class TestNifti:
         with pytest.raises(NiftiError, match="datatype.*64"):
             read_nifti(path)
 
+    @pytest.mark.parametrize("offset", [0.0, -4.0])
+    def test_vox_offset_inside_header_rejected(self, tmp_path, offset):
+        vol = np.zeros((2, 2, 2), dtype=np.float32)
+        path = tmp_path / "v.nii"
+        write_nifti(path, vol)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 108, offset)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError, match="vox_offset.*byte 108"):
+            read_nifti(path)
+
     def test_truncated_payload(self, tmp_path):
         vol = np.zeros((4, 4, 4), dtype=np.float32)
         path = tmp_path / "v.nii"
@@ -223,6 +234,15 @@ class TestCache:
         import zlib
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(CacheError, match="version 99"):
+            load_case(path)
+
+    def test_truncated_header_names_field_and_offset(self, tmp_path):
+        # cut after the version field, with a CRC32 that matches the cut body
+        import zlib
+        body = b"BTRC" + struct.pack("<I", 1)
+        path = tmp_path / "c.btrc"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CacheError, match="id length at byte 8"):
             load_case(path)
 
     def test_size_arithmetic(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bitrunet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from bitrunet.gradcheck import check_model_gradients
+from bitrunet.gradcheck import check_gradients, check_model_gradients
 from bitrunet.model import (
     BiTrUnetModel,
     CbamBlock,
@@ -21,7 +21,7 @@ from bitrunet.model import (
     parameter_count,
     transformer_layer,
 )
-from bitrunet.tensor import Tape, Tensor, tsum
+from bitrunet.tensor import Tape, Tensor, mul, tsum
 
 rng = np.random.default_rng(7)
 
@@ -101,6 +101,26 @@ class TestCbam:
         assert ms.shape == (2, 1, 4, 5, 6)
         for m in (mc.data, ms.data):
             assert (m > 0).all() and (m < 1).all()
+
+    def test_channel_gate_desk_calculation(self):
+        # sigmoid(mlp(spatial mean) + mlp(spatial max)) in plain numpy, and
+        # finite differences for the gradient through both pools
+        b = make_builder()
+        block = CbamBlock(b, "c", 4, 2)
+        f = Tensor(rng.standard_normal((2, 4, 3, 2, 4)), requires_grad=True)
+
+        def mlp(v):
+            h = np.maximum(v @ block.w1.data + block.b1.data, 0.0)
+            return h @ block.w2.data + block.b2.data
+
+        z = mlp(f.data.mean(axis=(2, 3, 4))) + mlp(f.data.max(axis=(2, 3, 4)))
+        expect = (1.0 / (1.0 + np.exp(-z))).reshape(2, 4, 1, 1, 1)
+        assert np.abs(block.channel_attention(f).data - expect).max() < 1e-12
+        probe = Tensor(rng.standard_normal((2, 4, 1, 1, 1)))
+        err = check_gradients(
+            [f], lambda: tsum(mul(block.channel_attention(f), probe))
+        )
+        assert err < 1e-6
 
     def test_never_amplifies(self):
         b = make_builder()

@@ -10,8 +10,6 @@ from bitrunet.tensor import (
     concat,
     conv3d,
     conv_transpose3d,
-    global_avg_pool,
-    global_max_pool,
     layer_norm,
     matmul,
     softmax,
@@ -162,15 +160,6 @@ class TestPointwiseAndShape:
         with pytest.raises(ValueError, match="axis"):
             softmax(Tensor(np.zeros((2, 2))), axis=5)
 
-    def test_global_avg_pool_mean(self):
-        x = Tensor(np.arange(1.0, 9.0).reshape(1, 1, 2, 2, 2))
-        assert global_avg_pool(x).data.reshape(()) == pytest.approx(4.5)
-
-    def test_global_max_pool(self):
-        x = Tensor(np.arange(1.0, 9.0).reshape(1, 1, 2, 2, 2))
-        assert global_max_pool(x).data.reshape(()) == 8.0
-        assert global_max_pool(x).shape == (1, 1, 1, 1, 1)
-
     def test_concat_channels(self):
         a, b = np.zeros((1, 2, 3, 3, 3)), np.ones((1, 3, 3, 3, 3))
         y = concat([Tensor(a), Tensor(b)], axis=1)
@@ -217,14 +206,6 @@ class TestAdjointness:
         a = rng.standard_normal((4, 6))
         self._check(
             lambda x: a @ x, lambda y: a.T @ y, (6, 3), (4, 3)
-        )
-
-    def test_avg_pool_vs_broadcast(self):
-        n_sp = 2 * 3 * 4
-        self._check(
-            lambda x: global_avg_pool(Tensor(x)).data,
-            lambda y: np.broadcast_to(y / n_sp, (1, 2, 2, 3, 4)).copy(),
-            (1, 2, 2, 3, 4), (1, 2, 1, 1, 1),
         )
 
 
