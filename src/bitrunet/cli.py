@@ -321,7 +321,8 @@ def _cmd_evaluate(args):
         _, truth = read_nifti(truths[name])
         case_id = name.replace(".nii.gz", "").replace(".nii", "")
         results[case_id] = evaluate_case(
-            np.asarray(pred), np.asarray(truth), spacing=hdr.spacing
+            np.asarray(pred), np.asarray(truth), spacing=hdr.spacing,
+            sources=(preds[name], truths[name]),
         )
     report = format_report(results)
     if args.out:
@@ -379,6 +380,22 @@ def _cmd_selftest(args):
                 ref = reference.naive_conv3d(x, w, stride, 1)
                 worst = max(worst, float(np.abs(got - ref).max()))
         return worst < 1e-9
+
+    def conv_grads_vs_naive():
+        # <naive(x, w), gy> == <x, input_grad(gy)> == <w, weight_grad(x, gy)>
+        worst = 0.0
+        for _ in range(5):
+            x = rng.standard_normal((2, 2, 5, 5, 5))
+            w = rng.standard_normal((3, 2, 3, 3, 3))
+            for stride in (1, 2):
+                ref = reference.naive_conv3d(x, w, stride, 1)
+                gy = rng.standard_normal(ref.shape)
+                lhs = float((ref * gy).sum())
+                gx = kernels.conv3d_input_grad(gy, w, stride, 1, x.shape[2:])
+                gw = kernels.conv3d_weight_grad(x, gy, stride, 1, w.shape[2:])
+                for rhs in (float((x * gx).sum()), float((w * gw).sum())):
+                    worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
+        return worst < 1e-10
 
     def matmul_vs_naive():
         a = rng.standard_normal((4, 5))
@@ -446,6 +463,7 @@ def _cmd_selftest(args):
             )
 
     run("conv3d vs naive loop oracle", conv_vs_naive)
+    run("conv3d input/weight grads vs naive (adjoint)", conv_grads_vs_naive)
     run("matmul vs triple loop oracle", matmul_vs_naive)
     run("transposed conv adjointness", adjointness)
     run("majority vote vs brute force", vote_oracle)

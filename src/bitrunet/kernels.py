@@ -5,14 +5,26 @@ convolution is the input-gradient computation run forward, so it reuses
 ``conv3d_input_grad``; its gradients in turn reuse ``conv3d_forward`` and
 ``conv3d_weight_grad`` with the argument roles swapped.
 
-Each primitive is plain numpy: the forward pass is one einsum over a
-strided sliding-window view, and both backward passes loop over the kernel
-taps with one vectorized einsum per tap, so the contractions run on BLAS.
+Each primitive is one BLAS GEMM (``np.matmul``) per kernel tap, the
+unfold/GEMM convolution done one tap at a time so that no tensor of all
+taps is ever built. Inside a primitive the channel axis leads and the batch
+is folded into the GEMM's column axis, so a tap's GEMM covers the whole
+batch:
+
+- forward: the tap's strided input slab is copied into one reused
+  (Cin, N*P) buffer, P being the output voxels per sample, and
+  ``W[:, :, i, j, k] @ slab`` is added to the output;
+- weight gradient: ``gy @ slab.T`` for the same slabs, which sums over the
+  batch inside the GEMM;
+- input gradient: ``W[:, :, i, j, k].T @ gy`` into one reused buffer,
+  added into the tap's strided slice of the padded gradient.
 
 Conventions: input (N, Cin, H, W, D), weight (Cout, Cin, kh, kw, kd),
 output (N, Cout, H', W', D'), all C-contiguous. No bias here; bias-add is a
 separate tape op.
 """
+
+import math
 
 import numpy as np
 
@@ -22,66 +34,74 @@ def conv_out_size(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
 
 
-def _pad_spatial(x, pad):
-    if pad == 0:
-        return x
-    p = ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad))
-    return np.pad(x, p)
+def _channels_first_2d(a):
+    """(N, C, ...) -> (C, N * spatial), a view when N == 1."""
+    return a.transpose(1, 0, 2, 3, 4).reshape(a.shape[1], -1)
+
+
+def _taps(kernel, stride, out_spatial):
+    """Yield, per kernel tap, its index into a weight and the strided
+    window of a padded (C, N, ...) volume that the tap meets."""
+    for i in range(kernel[0]):
+        for j in range(kernel[1]):
+            for k in range(kernel[2]):
+                window = tuple(
+                    slice(t, t + stride * n, stride)
+                    for t, n in zip((i, j, k), out_spatial)
+                )
+                yield (..., i, j, k), (slice(None), slice(None)) + window
+
+
+def _slabs(x, pad, stride, kernel, out_spatial, dtype):
+    """Yield, per kernel tap, its weight index and the tap's strided input
+    window copied into one reused (Cin, N * P) buffer."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    xp = x.transpose(1, 0, 2, 3, 4)
+    slab = np.empty(xp.shape[:2] + tuple(out_spatial), dtype=dtype)
+    slab2d = slab.reshape(slab.shape[0], -1)
+    for tap, window in _taps(kernel, stride, out_spatial):
+        slab[...] = xp[window]
+        yield tap, slab2d
 
 
 def conv3d_forward(x, w, stride, pad):
-    kh, kw, kd = w.shape[2:]
-    xp = _pad_spatial(x, pad)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw, kd), axis=(2, 3, 4))
-    win = win[:, :, ::stride, ::stride, ::stride]
-    # win: (N, Cin, H', W', D', kh, kw, kd)
-    return np.einsum("ncxyzijk,ocijk->noxyz", win, w, optimize=True)
+    n, cout = x.shape[0], w.shape[0]
+    kernel = w.shape[2:]
+    out_spatial = tuple(
+        conv_out_size(s, k, stride, pad) for s, k in zip(x.shape[2:], kernel)
+    )
+    dtype = np.result_type(x, w)
+    out = np.zeros((cout, n * math.prod(out_spatial)), dtype=dtype)
+    prod = np.empty_like(out)
+    for tap, slab in _slabs(x, pad, stride, kernel, out_spatial, dtype):
+        np.matmul(w[tap], slab, out=prod)
+        out += prod
+    out = out.reshape((cout, n) + out_spatial).transpose(1, 0, 2, 3, 4)
+    return np.ascontiguousarray(out)
 
 
 def conv3d_weight_grad(x, gy, stride, pad, kernel):
-    kh, kw, kd = kernel
-    xp = _pad_spatial(x, pad)
-    oh, ow, od = gy.shape[2:]
-    gw = np.empty((gy.shape[1], x.shape[1], kh, kw, kd), dtype=x.dtype)
-    # one contraction per kernel tap keeps the operands contiguous-ish and
-    # avoids materializing the full sliding-window tensor
-    for i in range(kh):
-        for j in range(kw):
-            for k in range(kd):
-                win = xp[
-                    :,
-                    :,
-                    i : i + stride * oh : stride,
-                    j : j + stride * ow : stride,
-                    k : k + stride * od : stride,
-                ]
-                gw[:, :, i, j, k] = np.einsum(
-                    "ncxyz,noxyz->oc", win, gy, optimize=True
-                )
+    dtype = np.result_type(x, gy)
+    gy2d = _channels_first_2d(gy)
+    gw = np.empty((gy.shape[1], x.shape[1]) + tuple(kernel), dtype=dtype)
+    for tap, slab in _slabs(x, pad, stride, kernel, gy.shape[2:], dtype):
+        gw[tap] = gy2d @ slab.T
     return gw
 
 
 def conv3d_input_grad(gy, w, stride, pad, in_spatial):
-    n, cout = gy.shape[:2]
-    cin = w.shape[1]
-    kh, kw, kd = w.shape[2:]
-    oh, ow, od = gy.shape[2:]
-    ih, iw, idp = in_spatial
-    gxp = np.zeros(
-        (n, cin, ih + 2 * pad, iw + 2 * pad, idp + 2 * pad), dtype=gy.dtype
-    )
-    # scatter one kernel offset at a time; each add is fully vectorized
-    for i in range(kh):
-        for j in range(kw):
-            for k in range(kd):
-                contrib = np.einsum("noxyz,oc->ncxyz", gy, w[:, :, i, j, k])
-                gxp[
-                    :,
-                    :,
-                    i : i + stride * oh : stride,
-                    j : j + stride * ow : stride,
-                    k : k + stride * od : stride,
-                ] += contrib
-    if pad == 0:
-        return gxp
-    return np.ascontiguousarray(gxp[:, :, pad:-pad, pad:-pad, pad:-pad])
+    n, cin = gy.shape[0], w.shape[1]
+    out_spatial = gy.shape[2:]
+    dtype = np.result_type(gy, w)
+    gxp = np.zeros((cin, n) + tuple(s + 2 * pad for s in in_spatial), dtype=dtype)
+    gy2d = _channels_first_2d(gy)
+    contrib = np.empty((cin, gy2d.shape[1]), dtype=dtype)
+    contrib5d = contrib.reshape((cin, n) + out_spatial)
+    for tap, window in _taps(w.shape[2:], stride, out_spatial):
+        np.matmul(w[tap].T, gy2d, out=contrib)
+        gxp[window] += contrib5d
+    gx = gxp.transpose(1, 0, 2, 3, 4)
+    if pad:
+        gx = gx[:, :, pad:-pad, pad:-pad, pad:-pad]
+    return np.ascontiguousarray(gx)

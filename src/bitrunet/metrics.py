@@ -31,6 +31,21 @@ REGIONS = (
 )
 
 
+def check_labels(mask, source):
+    """Raise a ValueError naming ``source`` and the first label outside
+    {0, 1, 2, 4}. One pass over the volume in cache-sized chunks, no sort."""
+    flat = np.ravel(mask, order="K")  # a view for C- or Fortran-ordered masks
+    step = 1 << 18
+    for start in range(0, flat.size, step):
+        chunk = flat[start : start + step]
+        bad = (chunk != 0) & (chunk != 1) & (chunk != 2) & (chunk != 4)
+        if bad.any():
+            label = chunk[bad][0].item()
+            if float(label).is_integer():
+                label = int(label)
+            raise ValueError(f"{source}: label {label} is not one of 0, 1, 2, 4")
+
+
 def region_mask(mask, region):
     """Boolean volume: voxel label belongs to the region's label set."""
     return np.isin(mask, sorted(region.labels))
@@ -113,8 +128,15 @@ def hd95(pred, truth, spacing=(1.0, 1.0, 1.0), mode="pooled",
     )
 
 
-def evaluate_case(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0)):
-    """Per-region dice, hd95, sensitivity and specificity for one case."""
+def evaluate_case(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0),
+                  sources=("prediction", "truth")):
+    """Per-region dice, hd95, sensitivity and specificity for one case.
+
+    Both masks must hold only the labels {0, 1, 2, 4}; ``sources`` names
+    them in the error otherwise.
+    """
+    check_labels(pred_mask, sources[0])
+    check_labels(truth_mask, sources[1])
     out = {}
     for region in REGIONS:
         p = region_mask(pred_mask, region)

@@ -82,6 +82,12 @@ def parse_header(buf, label="<nifti>"):
             f"{label}: dim[0] = {dim[0]} at byte 40; only 3D or 4D supported"
         )
     dims = tuple(dim[1 : 1 + dim[0]])
+    for i, n in enumerate(dims, start=1):
+        if n <= 0:
+            raise NiftiError(
+                f"{label}: dim[{i}] = {n} at byte {40 + 2 * i}; "
+                f"every dimension must be positive"
+            )
     datatype, bitpix = struct.unpack(f"{endian}2h", buf[70:74])
     if datatype not in _DTYPES:
         raise NiftiError(

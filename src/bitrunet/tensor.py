@@ -10,6 +10,7 @@ Tape lifetime is one forward pass: enter a fresh ``Tape`` context for each
 training step, run inference with no tape at all.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,13 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is None:
-            dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in (
+            # np.generic too: a full reduction of a float32 array is a
+            # float32 scalar, not an ndarray
+            is_float = isinstance(data, (np.ndarray, np.generic)) and data.dtype in (
                 np.float32,
                 np.float64,
-            ) else np.float64
+            )
+            dtype = data.dtype if is_float else np.float64
         self.data = np.ascontiguousarray(data, dtype=dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -256,8 +260,8 @@ def relu(x):
     return out
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x):

@@ -256,6 +256,21 @@ class TestEvaluate(object):
                 assert float(parts[2]) == 1.0  # dice
                 assert float(parts[3]) == 0.0  # hd95
 
+    @pytest.mark.parametrize("side", ["pred", "truth"])
+    def test_label_outside_vocabulary_is_data_error(self, tmp_path, capsys, side):
+        # a truth of all 3s against an all-zero prediction must not score
+        # as a perfect empty-vs-empty match
+        dirs = {k: tmp_path / k for k in ("pred", "truth")}
+        for k, d in dirs.items():
+            d.mkdir()
+            mask = np.full((6, 6, 6), 3 if k == side else 0, dtype=np.uint8)
+            write_nifti(d / "case1.nii.gz", mask)
+        assert cli(["evaluate", "--pred", str(dirs["pred"]),
+                    "--truth", str(dirs["truth"])]) == 2
+        err = capsys.readouterr().err
+        assert str(dirs[side] / "case1.nii.gz") in err
+        assert "label 3" in err
+
     def test_no_matching_files_is_data_error(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -273,7 +288,9 @@ class TestChecks(object):
 
     def test_selftest_exits_zero(self, capsys):
         assert cli(["selftest"]) == 0
-        assert "FAIL" not in capsys.readouterr().out.replace("PASSED", "")
+        out = capsys.readouterr().out
+        assert "FAIL" not in out.replace("PASSED", "")
+        assert "PASS  conv3d input/weight grads vs naive (adjoint)" in out
 
 
 class TestUsage(object):

@@ -237,3 +237,14 @@ class TestReport:
         report = format_report(results)
         assert report.startswith("case\tregion\tdice")
         assert "summary\tWT\tdice" in report
+
+    @pytest.mark.parametrize("bad", [3, 5, -1, 1.5])
+    def test_evaluate_case_rejects_label_outside_vocabulary(self, bad):
+        # the bad voxel sits past the first counting chunk of the volume
+        good = rng.choice([0, 1, 2, 4], (70, 70, 70)).astype(np.float32)
+        bad_mask = good.copy()
+        bad_mask[60, 61, 62] = bad
+        with pytest.raises(ValueError, match=rf"^truth: label {bad} is not"):
+            evaluate_case(good, bad_mask)
+        with pytest.raises(ValueError, match=rf"^p\.nii: label {bad} is not"):
+            evaluate_case(bad_mask, good, sources=("p.nii", "t.nii"))

@@ -22,6 +22,7 @@ from bitrunet.model import (
     transformer_layer,
 )
 from bitrunet.tensor import Tape, Tensor, mul, tsum
+from bitrunet.training import LossConfig, loss
 
 rng = np.random.default_rng(7)
 
@@ -297,6 +298,22 @@ class TestForward:
                 reached = {k: reached[k] or got[k] for k in got}
         dead = [k for k, ok in reached.items() if not ok]
         assert not dead, f"parameters with identically zero grads in all seeds: {dead}"
+
+    def test_float32_model_stays_float32(self):
+        # every activation on the tape and every parameter gradient; a
+        # float64 constant mixed into one op would upcast everything after it
+        cfg = tiny_config()
+        model = BiTrUnetModel(cfg, seed=0, dtype=np.float32)
+        x = Tensor(rng.standard_normal((1, 2, 16, 16, 16)).astype(np.float32))
+        target = rng.integers(0, cfg.num_classes, (16, 16, 16))
+        with Tape() as tape:
+            scores = model.forward(x)
+            tape.backward(loss(scores, target, LossConfig()))
+        assert scores.dtype == np.float32
+        wide = {n.output.dtype for n in tape.nodes} - {np.dtype(np.float32)}
+        assert not wide, f"tape nodes with output dtype {wide}"
+        for name, p in model.params.items():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
 
     def test_full_model_gradcheck_quick(self):
         model = BiTrUnetModel(tiny_config(), seed=0, dtype=np.float64)

@@ -233,6 +233,16 @@ class TestKernelBackends:
             for rhs in (float((x * gx).sum()), float((w * gw).sum())):
                 assert abs(lhs - rhs) / max(abs(lhs), 1e-12) < 1e-10
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_float32_in_float32_out(self, stride):
+        x = rng.standard_normal((2, 3, 6, 5, 7)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
+        y = kernels.conv3d_forward(x, w, stride, 1)
+        gy = rng.standard_normal(y.shape).astype(np.float32)
+        gx = kernels.conv3d_input_grad(gy, w, stride, 1, x.shape[2:])
+        gw = kernels.conv3d_weight_grad(x, gy, stride, 1, (3, 3, 3))
+        assert (y.dtype, gx.dtype, gw.dtype) == (np.float32,) * 3
+
     def test_out_size_arithmetic(self):
         assert kernels.conv_out_size(4, 3, 2, 1) == 2
         assert kernels.conv_out_size(5, 3, 2, 1) == 3
