@@ -5,6 +5,7 @@ selftest. Exit codes: 0 success, 1 usage error, 2 data or check failure.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -35,7 +36,7 @@ from .inference import (
     tta_predict,
     volume_threshold_postprocess,
 )
-from .metrics import evaluate_case, format_report, hd95
+from .metrics import REGIONS, evaluate_case, format_report, hd95
 from .model import BiTrUnetModel, ModelConfig, parse_key_values
 from .nifti import NiftiError, read_nifti, write_nifti
 from .training import AugmentConfig, LossConfig, TrainConfig, train_loop
@@ -317,11 +318,18 @@ def _cmd_evaluate(args):
         )
     results = {}
     for name in common:
-        hdr, pred = read_nifti(preds[name])
-        _, truth = read_nifti(truths[name])
+        pred_hdr, pred = read_nifti(preds[name])
+        truth_hdr, truth = read_nifti(truths[name])
+        spacings = (pred_hdr.spacing, truth_hdr.spacing)
+        if not all(math.isclose(a, b, rel_tol=1e-6) for a, b in zip(*spacings)):
+            shown = [" x ".join(f"{v:g}" for v in sp) for sp in spacings]
+            raise ValueError(
+                f"voxel spacing differs: {preds[name]} has {shown[0]}, "
+                f"{truths[name]} has {shown[1]}"
+            )
         case_id = name.replace(".nii.gz", "").replace(".nii", "")
         results[case_id] = evaluate_case(
-            np.asarray(pred), np.asarray(truth), spacing=hdr.spacing,
+            np.asarray(pred), np.asarray(truth), spacing=pred_hdr.spacing,
             sources=(preds[name], truths[name]),
         )
     report = format_report(results)
@@ -446,6 +454,39 @@ def _cmd_selftest(args):
                 return False
         return True
 
+    def crop_vs_full():
+        # small labelled blobs in [1, 9)^3 of a 12^3 volume: the joint box
+        # lies strictly inside, so evaluate_case scores a real crop
+        def ratio(num, den):
+            return 1.0 if den == 0 else num / den
+
+        for spacing in ((1.0, 1.0, 1.0), (1.5, 1.0, 0.5)):
+            masks = []
+            for _ in range(2):
+                m = np.zeros((12, 12, 12), dtype=np.uint8)
+                for label in (2, 1, 4):
+                    lo = rng.integers(1, 7, 3)
+                    hi = lo + rng.integers(1, 4, 3)
+                    m[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = label
+                masks.append(m)
+            got = evaluate_case(masks[0], masks[1], spacing=spacing)
+            for region in REGIONS:
+                p, t = (np.isin(m, sorted(region.labels)) for m in masks)
+                tp = np.count_nonzero(p & t)
+                fp = np.count_nonzero(p & ~t)
+                fn = np.count_nonzero(~p & t)
+                tn = np.count_nonzero(~p & ~t)
+                want = {
+                    "dice": ratio(2 * tp, 2 * tp + fp + fn),
+                    "hd95": reference.brute_force_hd95(p, t, spacing),
+                    "sensitivity": ratio(tp, tp + fn),
+                    "specificity": ratio(tn, tn + fp),
+                }
+                scores = got[region.name]
+                if any(abs(scores[k] - want[k]) > 1e-9 for k in want):
+                    return False
+        return True
+
     def roundtrips():
         with tempfile.TemporaryDirectory() as td:
             vol = rng.standard_normal((4, 4, 4)).astype(np.float32)
@@ -469,6 +510,7 @@ def _cmd_selftest(args):
     run("majority vote vs brute force", vote_oracle)
     run("postprocess vs flood fill", postproc_oracle)
     run("hd95 vs all-pairs oracle", hd95_oracle)
+    run("evaluate_case on crop vs full-volume metrics", crop_vs_full)
     run("file format roundtrips", roundtrips)
     ok = all(checks)
     print("selftest", "PASSED" if ok else "FAILED")

@@ -6,7 +6,13 @@ whole tumor {1, 2, 4}, tumor core {1, 4}, enhancing tumor {4}.
 A surface voxel is a foreground voxel with at least one of its six axis
 neighbors background, or lying on the volume boundary. HD95 pools the
 nearest-surface distances from both directions into one set and takes the
-95th percentile; a max-of-directed-percentiles variant sits behind a flag.
+95th percentile.
+
+``evaluate_case`` scores every region on the joint bounding box of the two
+masks' nonzero voxels, and adds the voxels outside it to the true negatives.
+This is exact: outside the box both masks are background, so the erosion
+marks the same surface voxels, and all of them lie inside the box, so every
+nearest-surface distance is the same.
 """
 
 from dataclasses import dataclass
@@ -100,19 +106,16 @@ def surface_voxels(mask):
     return mask & ~eroded
 
 
-def hd95(pred, truth, spacing=(1.0, 1.0, 1.0), mode="pooled",
+def hd95(pred, truth, spacing=(1.0, 1.0, 1.0),
          empty_sentinel=HD95_EMPTY_SENTINEL):
-    """95th percentile of surface-to-nearest-surface distances.
+    """95th percentile of surface-to-nearest-surface distances, both
+    directions pooled into one set.
 
-    Both empty -> 0.0; exactly one empty -> ``empty_sentinel``. ``mode``
-    "pooled" merges both directed distance sets before the percentile;
-    "directed-max" takes the max of the two directed 95th percentiles.
+    Both empty -> 0.0; exactly one empty -> ``empty_sentinel``.
     """
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
     _check_shapes(pred, truth, "hd95")
-    if mode not in ("pooled", "directed-max"):
-        raise ValueError(f"unknown hd95 mode {mode!r}")
     ps = surface_voxels(pred)
     ts = surface_voxels(truth)
     if not ps.any() and not ts.any():
@@ -121,31 +124,43 @@ def hd95(pred, truth, spacing=(1.0, 1.0, 1.0), mode="pooled",
         return float(empty_sentinel)
     d_to_truth = ndimage.distance_transform_edt(~ts, sampling=spacing)[ps]
     d_to_pred = ndimage.distance_transform_edt(~ps, sampling=spacing)[ts]
-    if mode == "pooled":
-        return float(np.percentile(np.concatenate([d_to_truth, d_to_pred]), 95))
-    return float(
-        max(np.percentile(d_to_truth, 95), np.percentile(d_to_pred, 95))
-    )
+    return float(np.percentile(np.concatenate([d_to_truth, d_to_pred]), 95))
+
+
+def _joint_box(pred_mask, truth_mask):
+    """Slices of the smallest box that holds every nonzero voxel of either
+    mask; an empty box when both masks are all zeros."""
+    nonzero = (pred_mask != 0) | (truth_mask != 0)
+    boxes = ndimage.find_objects(nonzero.view(np.uint8))
+    return boxes[0] if boxes else (slice(0, 0),) * nonzero.ndim
 
 
 def evaluate_case(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0),
                   sources=("prediction", "truth")):
-    """Per-region dice, hd95, sensitivity and specificity for one case.
+    """Per-region dice, hd95, sensitivity and specificity for one case,
+    scored on the joint bounding box of the two masks' nonzero voxels.
 
     Both masks must hold only the labels {0, 1, 2, 4}; ``sources`` names
     them in the error otherwise.
     """
+    pred_mask = np.asarray(pred_mask)
+    truth_mask = np.asarray(truth_mask)
+    _check_shapes(pred_mask, truth_mask, "evaluate_case")
     check_labels(pred_mask, sources[0])
     check_labels(truth_mask, sources[1])
+    box = _joint_box(pred_mask, truth_mask)
+    pred_box, truth_box = pred_mask[box], truth_mask[box]
     out = {}
     for region in REGIONS:
-        p = region_mask(pred_mask, region)
-        t = region_mask(truth_mask, region)
+        p = region_mask(pred_box, region)
+        t = region_mask(truth_box, region)
+        tp, fp, _, fn = confusion_counts(p, t)
+        tn = pred_mask.size - tp - fp - fn  # every voxel outside the box too
         out[region.name] = {
             "dice": dice(p, t),
             "hd95": hd95(p, t, spacing),
             "sensitivity": sensitivity(p, t),
-            "specificity": specificity(p, t),
+            "specificity": 1.0 if tn + fp == 0 else tn / (tn + fp),
         }
     return out
 

@@ -11,6 +11,7 @@ with a zeroed mtime so identical inputs give byte-identical files.
 """
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,6 +96,12 @@ def parse_header(buf, label="<nifti>"):
             f"(supported: {sorted(_DTYPES)})"
         )
     pixdim = struct.unpack(f"{endian}8f", buf[76:108])
+    for i in (1, 2, 3):
+        if not (math.isfinite(pixdim[i]) and pixdim[i] > 0):
+            raise NiftiError(
+                f"{label}: pixdim[{i}] = {pixdim[i]:g} at byte {76 + 4 * i}; "
+                f"voxel spacing must be positive and finite"
+            )
     vox_offset, scl_slope, scl_inter = struct.unpack(f"{endian}3f", buf[108:120])
     if not vox_offset >= HEADER_SIZE + 4:
         raise NiftiError(

@@ -271,6 +271,22 @@ class TestEvaluate(object):
         assert str(dirs[side] / "case1.nii.gz") in err
         assert "label 3" in err
 
+    def test_spacing_mismatch_is_data_error(self, tmp_path, capsys):
+        # HD95 needs one voxel spacing: a 2 mm prediction against a 1 mm
+        # truth must not be scored with the prediction's spacing
+        dirs = {k: tmp_path / k for k in ("pred", "truth")}
+        mask = rng.choice([0, 1, 2, 4], (6, 6, 6)).astype(np.uint8)
+        for k, d in dirs.items():
+            d.mkdir()
+            spacing = (2.0, 1.0, 1.0) if k == "pred" else (1.0, 1.0, 1.0)
+            write_nifti(d / "case1.nii.gz", mask, spacing=spacing)
+        assert cli(["evaluate", "--pred", str(dirs["pred"]),
+                    "--truth", str(dirs["truth"])]) == 2
+        err = capsys.readouterr().err
+        assert "spacing" in err
+        for d in dirs.values():
+            assert str(d / "case1.nii.gz") in err
+
     def test_no_matching_files_is_data_error(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -291,6 +307,7 @@ class TestChecks(object):
         out = capsys.readouterr().out
         assert "FAIL" not in out.replace("PASSED", "")
         assert "PASS  conv3d input/weight grads vs naive (adjoint)" in out
+        assert "PASS  evaluate_case on crop vs full-volume metrics" in out
 
 
 class TestUsage(object):

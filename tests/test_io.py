@@ -103,6 +103,17 @@ class TestNifti:
         with pytest.raises(NiftiError, match=rf"dim\[1\] = {value} at byte 42"):
             read_nifti(path)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_bad_pixdim_rejected(self, tmp_path, value):
+        vol = np.zeros((2, 2, 2), dtype=np.float32)
+        path = tmp_path / "v.nii"
+        write_nifti(path, vol)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 80, value)  # pixdim[1]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError, match=rf"pixdim\[1\] = {value:g} at byte 80"):
+            read_nifti(path)
+
     def test_truncated_payload(self, tmp_path):
         vol = np.zeros((4, 4, 4), dtype=np.float32)
         path = tmp_path / "v.nii"

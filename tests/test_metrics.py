@@ -185,20 +185,98 @@ class TestHd95:
         b[4, 2, 2] = True
         assert hd95(a, b, spacing=(2.0, 1.0, 1.0)) == pytest.approx(6.0)
 
-    def test_directed_max_mode(self):
-        a = rng.random((6, 6, 6)) < 0.3
-        b = rng.random((6, 6, 6)) < 0.3
-        a[0, 0, 0] = b[3, 3, 3] = True
-        pooled = hd95(a, b, mode="pooled")
-        directed = hd95(a, b, mode="directed-max")
-        assert directed >= 0 and pooled >= 0
-        with pytest.raises(ValueError, match="mode"):
-            hd95(a, b, mode="bogus")
-
     def test_surface_definition_matches_brute_force(self):
         for _ in range(5):
             m = rng.random((6, 6, 6)) < 0.4
             assert np.array_equal(surface_voxels(m), reference.brute_force_surface(m))
+
+
+def full_volume_metrics(pred, truth, spacing=(1.0, 1.0, 1.0)):
+    """The evaluate_case dict computed on the full, uncropped region masks."""
+    out = {}
+    for region in REGIONS:
+        p = region_mask(pred, region)
+        t = region_mask(truth, region)
+        out[region.name] = {
+            "dice": dice(p, t),
+            "hd95": hd95(p, t, spacing),
+            "sensitivity": sensitivity(p, t),
+            "specificity": specificity(p, t),
+        }
+    return out
+
+
+def nested_blob(shape, lo, hi):
+    """Edema box [lo, hi) around a core box around one enhancing voxel."""
+    mask = np.zeros(shape, dtype=np.uint8)
+    lo, hi = np.array(lo), np.array(hi)
+    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = 2
+    mid = (lo + hi) // 2
+    mask[tuple(slice(a, b) for a, b in zip((lo + mid) // 2, mid + 1))] = 1
+    mask[tuple(mid)] = 4
+    return mask
+
+
+class TestEvaluateCaseCrop:
+    """evaluate_case scores the joint bounding box; every result must equal
+    the full-volume metrics exactly."""
+
+    def test_tumor_touching_face_and_corner(self):
+        shape = (10, 9, 8)
+        truth = nested_blob(shape, (0, 0, 0), (4, 5, 3))  # corner voxel (0, 0, 0)
+        pred = nested_blob(shape, (1, 2, 0), (5, 9, 4))   # faces y = 8 and z = 0
+        got = evaluate_case(pred, truth)
+        assert got == full_volume_metrics(pred, truth)
+        assert got["WT"]["hd95"] > 0
+
+    @pytest.mark.parametrize("empty_side", ["pred", "truth"])
+    def test_one_empty_mask(self, empty_side):
+        shape = (9, 9, 9)
+        tumor = nested_blob(shape, (2, 3, 1), (6, 7, 4))
+        empty = np.zeros(shape, dtype=np.uint8)
+        pred, truth = (empty, tumor) if empty_side == "pred" else (tumor, empty)
+        got = evaluate_case(pred, truth)
+        assert got == full_volume_metrics(pred, truth)
+        wt = np.count_nonzero(tumor)
+        assert got["WT"]["hd95"] == HD95_EMPTY_SENTINEL
+        # the negatives outside the box count toward specificity
+        want_spec = 1.0 if empty_side == "pred" else (tumor.size - wt) / tumor.size
+        assert got["WT"]["specificity"] == want_spec
+
+    def test_both_masks_all_zeros(self):
+        z = np.zeros((5, 6, 7), dtype=np.uint8)
+        got = evaluate_case(z, z)
+        assert got == full_volume_metrics(z, z)
+        for region in REGIONS:
+            assert got[region.name] == {
+                "dice": 1.0, "hd95": 0.0, "sensitivity": 1.0, "specificity": 1.0,
+            }
+
+    def test_anisotropic_spacing(self):
+        shape = (11, 10, 9)
+        truth = nested_blob(shape, (1, 2, 3), (7, 8, 8))
+        pred = nested_blob(shape, (3, 1, 2), (10, 6, 9))
+        spacing = (0.7, 2.5, 1.3)
+        got = evaluate_case(pred, truth, spacing=spacing)
+        assert got == full_volume_metrics(pred, truth, spacing)
+        assert got != evaluate_case(pred, truth)
+
+    def test_box_inside_volume_against_all_pairs_oracle(self):
+        shape = (12, 12, 12)
+        truth = nested_blob(shape, (2, 3, 4), (7, 8, 8))
+        pred = nested_blob(shape, (3, 3, 2), (9, 7, 7))
+        spacing = (1.0, 1.5, 0.8)
+        got = evaluate_case(pred, truth, spacing=spacing)
+        assert got == full_volume_metrics(pred, truth, spacing)
+        for region in REGIONS:
+            ref = reference.brute_force_hd95(
+                region_mask(pred, region), region_mask(truth, region), spacing
+            )
+            assert abs(got[region.name]["hd95"] - ref) < 1e-9
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_case(np.zeros((2, 2, 1)), np.zeros((2, 2, 2)))
 
 
 class TestSummarize:
