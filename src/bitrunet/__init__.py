@@ -3,18 +3,16 @@
 from .backend import ACTIVE_BACKEND
 from .checkpoint import load_checkpoint, save_checkpoint
 from .model import BiTrUnetModel, ModelConfig, parameter_count
-from .tensor import ConvSpec, Tape, Tensor, backward
+from .tensor import Tape, Tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ACTIVE_BACKEND",
     "BiTrUnetModel",
-    "ConvSpec",
     "ModelConfig",
     "Tape",
     "Tensor",
-    "backward",
     "load_checkpoint",
     "parameter_count",
     "save_checkpoint",

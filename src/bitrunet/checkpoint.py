@@ -15,6 +15,7 @@ Parameters are stored as 32-bit floats; loading yields a float32 model.
 Every parse failure reports the byte offset it happened at.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -107,7 +108,12 @@ def load_checkpoint(path):
     for _ in range(n_params):
         name_len = r.u32("name length")
         name_at = r.pos
-        name = r.take(name_len, "name").decode()
+        try:
+            name = r.take(name_len, "name").decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: parameter name at byte {name_at} is not UTF-8 ({exc.reason})"
+            ) from exc
         if name not in model.params:
             raise CheckpointError(
                 f"{path}: unknown parameter {name!r} near byte {r.pos}"
@@ -125,8 +131,7 @@ def load_checkpoint(path):
                 f"{path}: parameter {name} has dims {dims} in file, "
                 f"expected {t.shape}"
             )
-        n = int(np.prod(dims)) if rank else 1
-        raw = r.take(4 * n, f"{name} data")
+        raw = r.take(4 * math.prod(dims), f"{name} data")
         t.data = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
     if r.pos != len(buf):
         raise CheckpointError(

@@ -28,7 +28,7 @@ from .data import (
 from .gradcheck import check_model_gradients, run_op_suite
 from .inference import (
     DEFAULT_ET_THRESHOLD,
-    PostprocConfig,
+    EXTERNAL_LABELS,
     external_to_internal,
     majority_vote,
     mask_from_probs,
@@ -163,38 +163,72 @@ def _load_input_case(path):
     return load_case(path)
 
 
-def _write_prob_dump(path, probs):
+class ProbDumpError(ValueError):
+    """Malformed probability dump or sidecar header."""
+
+
+def _write_prob_dump(path, probs, spacing):
     np.ascontiguousarray(probs, dtype="<f4").tofile(path)
-    k = probs.shape[0]
     with open(path + ".hdr", "w") as fh:
-        fh.write(f"dims: {k} {probs.shape[1]} {probs.shape[2]} {probs.shape[3]}\n")
+        fh.write("dims: " + " ".join(str(n) for n in probs.shape) + "\n")
+        fh.write("spacing: " + " ".join(repr(float(v)) for v in spacing) + "\n")
         fh.write("classes: 0 1 2 4\n")
         fh.write("dtype: float32 little-endian\n")
 
 
+def _sidecar_numbers(hdr_path, fields, key, cast, count):
+    """The ``count`` numbers of the sidecar's ``key:`` line, each positive
+    and finite."""
+    if key not in fields:
+        raise ProbDumpError(f"{hdr_path}: no '{key}:' line")
+    try:
+        values = tuple(cast(t) for t in fields[key].split())
+    except ValueError:
+        values = ()
+    if len(values) != count or not all(0 < v < math.inf for v in values):
+        raise ProbDumpError(
+            f"{hdr_path}: '{key}:' must hold {count} positive numbers, "
+            f"got {fields[key].strip()!r}"
+        )
+    return values
+
+
 def _read_prob_dump(path):
+    """(float32 probabilities (K, H, W, D), voxel spacing) of one dump."""
     hdr_path = path + ".hdr"
     if not os.path.exists(hdr_path):
-        raise ValueError(f"{path}: missing sidecar header {hdr_path}")
-    dims = None
-    with open(hdr_path) as fh:
-        for line in fh:
-            if line.startswith("dims:"):
-                dims = tuple(int(t) for t in line.split(":", 1)[1].split())
-    if dims is None or len(dims) != 4:
-        raise ValueError(f"{hdr_path}: no valid 'dims:' line")
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != int(np.prod(dims)):
-        raise ValueError(
-            f"{path}: payload has {raw.size} floats, header says {dims}"
+        raise ProbDumpError(f"{path}: missing sidecar header {hdr_path}")
+    try:
+        with open(hdr_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ProbDumpError(
+            f"{hdr_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    fields = {key: value for key, _, value in (line.partition(":") for line in lines)}
+    dims = _sidecar_numbers(hdr_path, fields, "dims", int, 4)
+    if dims[0] > len(EXTERNAL_LABELS):
+        raise ProbDumpError(
+            f"{hdr_path}: 'dims:' gives {dims[0]} classes, more than the "
+            f"{len(EXTERNAL_LABELS)} labels {EXTERNAL_LABELS.tolist()}"
         )
-    return raw.reshape(dims).astype(np.float64)
+    spacing = _sidecar_numbers(hdr_path, fields, "spacing", float, 3)
+    raw = np.fromfile(path, dtype="<f4")
+    if raw.size != math.prod(dims):
+        raise ProbDumpError(f"{path}: payload has {raw.size} floats, header says {dims}")
+    return raw.reshape(dims), spacing
 
 
-def _postproc_from_threshold(et_threshold):
-    if et_threshold and et_threshold > 0:
-        return PostprocConfig(thresholds={3: int(et_threshold)})
-    return PostprocConfig()
+def _check_same_spacing(a, a_spacing, b, b_spacing):
+    """Raise naming both sources unless the spacings agree within 1e-6."""
+    if not all(math.isclose(u, v, rel_tol=1e-6) for u, v in zip(a_spacing, b_spacing)):
+        shown = [" x ".join(f"{v:g}" for v in sp) for sp in (a_spacing, b_spacing)]
+        raise ValueError(f"voxel spacing differs: {a} has {shown[0]}, {b} has {shown[1]}")
+
+
+def _thresholds(et_threshold):
+    """The ``{label: min_voxels}`` postprocessing of an ET threshold."""
+    return {3: et_threshold} if et_threshold > 0 else {}
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +244,7 @@ def _cmd_preprocess(args):
     if args.label:
         _, label_data = read_nifti(args.label)
         label = np.asarray(label_data, dtype=np.uint8)
-    record = CaseRecord(
-        case_id=args.case_id,
-        volume=vol,
-        label=label,
-        paths=dict(zip(MODALITY_ORDER, paths)),
-    )
+    record = CaseRecord(case_id=args.case_id, volume=vol, label=label)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     cache_case(record, args.out)
@@ -279,9 +308,11 @@ def _cmd_predict(args):
     data, region = pad_to_shape(record.volume.data, target)
     predictor = tta_predict if args.tta else predict_probs
     probs = [predictor(m, data) for m in models]
-    mask = mask_from_probs(probs, _postproc_from_threshold(args.postproc_threshold))
+    mask = mask_from_probs(probs, _thresholds(args.postproc_threshold))
     if args.dump_probs:
-        _write_prob_dump(args.dump_probs, np.mean(np.stack(probs), axis=0))
+        _write_prob_dump(
+            args.dump_probs, np.mean(np.stack(probs), axis=0), record.volume.spacing
+        )
     mask = mask[region]
     write_nifti(args.out, mask.astype(np.uint8), spacing=record.volume.spacing)
     labels = sorted(np.unique(mask).tolist())
@@ -290,14 +321,15 @@ def _cmd_predict(args):
 
 
 def _cmd_ensemble(args):
-    probs = [_read_prob_dump(p) for p in args.probs]
-    shape = probs[0].shape
-    for p, path in zip(probs, args.probs):
-        if p.shape != shape:
-            raise ValueError(f"{path}: shape {p.shape} differs from {shape}")
-    mask = mask_from_probs(probs, _postproc_from_threshold(args.postproc_threshold))
-    write_nifti(args.out, mask.astype(np.uint8))
-    print(f"wrote {args.out} from {len(probs)} probability maps")
+    dumps = [_read_prob_dump(p) for p in args.probs]
+    first, spacing = dumps[0]
+    for path, (p, sp) in zip(args.probs, dumps):
+        if p.shape != first.shape:
+            raise ValueError(f"{path}: shape {p.shape} differs from {first.shape}")
+        _check_same_spacing(args.probs[0], spacing, path, sp)
+    mask = mask_from_probs([p for p, _ in dumps], _thresholds(args.postproc_threshold))
+    write_nifti(args.out, mask.astype(np.uint8), spacing=spacing)
+    print(f"wrote {args.out} from {len(dumps)} probability maps")
     return 0
 
 
@@ -320,13 +352,7 @@ def _cmd_evaluate(args):
     for name in common:
         pred_hdr, pred = read_nifti(preds[name])
         truth_hdr, truth = read_nifti(truths[name])
-        spacings = (pred_hdr.spacing, truth_hdr.spacing)
-        if not all(math.isclose(a, b, rel_tol=1e-6) for a, b in zip(*spacings)):
-            shown = [" x ".join(f"{v:g}" for v in sp) for sp in spacings]
-            raise ValueError(
-                f"voxel spacing differs: {preds[name]} has {shown[0]}, "
-                f"{truths[name]} has {shown[1]}"
-            )
+        _check_same_spacing(preds[name], pred_hdr.spacing, truths[name], truth_hdr.spacing)
         case_id = name.replace(".nii.gz", "").replace(".nii", "")
         results[case_id] = evaluate_case(
             np.asarray(pred), np.asarray(truth), spacing=pred_hdr.spacing,
@@ -368,7 +394,7 @@ def _cmd_selftest(args):
     import tempfile
 
     from . import kernels
-    from .tensor import ConvSpec, Tensor, conv3d, conv_transpose3d
+    from .tensor import Tensor, conv3d, conv_transpose3d
 
     rng = np.random.default_rng(0)
     checks = []
@@ -413,13 +439,11 @@ def _cmd_selftest(args):
     def adjointness():
         worst = 0.0
         for _ in range(5):
-            spec = ConvSpec(2, 3, stride=2, padding=1)
-            tspec = ConvSpec(3, 2, stride=2, padding=1, transposed=True)
             x = Tensor(rng.standard_normal((1, 2, 4, 4, 4)))
             y = Tensor(rng.standard_normal((1, 3, 2, 2, 2)))
             w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)))
-            lhs = float((conv3d(x, spec, w, None).data * y.data).sum())
-            rhs = float((x.data * conv_transpose3d(y, tspec, w, None).data).sum())
+            lhs = float((conv3d(x, w, None, stride=2).data * y.data).sum())
+            rhs = float((x.data * conv_transpose3d(y, w, None, stride=2).data).sum())
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
         return worst < 1e-6
 
@@ -438,9 +462,7 @@ def _cmd_selftest(args):
         for _ in range(20):
             mask = rng.integers(0, 4, (6, 6, 6))
             thr = {1: 3, 2: 5, 3: 2}
-            got = volume_threshold_postprocess(
-                mask, PostprocConfig(thresholds=thr)
-            )
+            got = volume_threshold_postprocess(mask, thr)
             ref = reference.brute_force_postprocess(mask, thr)
             if not np.array_equal(got, ref):
                 return False
@@ -531,6 +553,7 @@ _DATA_ERRORS = (
     NiftiError,
     CacheError,
     CheckpointError,
+    ProbDumpError,
     ValueError,
     FileNotFoundError,
     NotADirectoryError,

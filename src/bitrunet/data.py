@@ -16,7 +16,7 @@ Cache file layout (little-endian, trailing CRC32 of everything before it):
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class CaseRecord:
     case_id: str
     volume: Volume4D
     label: np.ndarray | None = None  # (H, W, D) external labels, uint8
-    paths: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.label is not None:
@@ -170,7 +169,6 @@ def load_case(path):
         case_id=case_id,
         volume=Volume4D(image, spacing=tuple(spacing)),
         label=label,
-        paths={"cache": str(path)},
     )
 
 

@@ -150,36 +150,32 @@ def _suite_builders():
         return [x, g, b], lambda: p(T.layer_norm(x, g, b))
 
     def b_conv3d_s1(rng):
-        spec = T.ConvSpec(2, 3, stride=1, padding=1)
         x = _rand(rng, (1, 2, 4, 3, 5))
         w = _rand(rng, (3, 2, 3, 3, 3), -0.5, 0.5)
         bias = _rand(rng, (3,))
         p = _probe(rng, (1, 3, 4, 3, 5))
-        return [x, w, bias], lambda: p(T.conv3d(x, spec, w, bias))
+        return [x, w, bias], lambda: p(T.conv3d(x, w, bias))
 
     def b_conv3d_s2(rng):
-        spec = T.ConvSpec(2, 2, stride=2, padding=1)
         x = _rand(rng, (2, 2, 4, 4, 5))
         w = _rand(rng, (2, 2, 3, 3, 3), -0.5, 0.5)
         bias = _rand(rng, (2,))
         p = _probe(rng, (2, 2, 2, 2, 3))
-        return [x, w, bias], lambda: p(T.conv3d(x, spec, w, bias))
+        return [x, w, bias], lambda: p(T.conv3d(x, w, bias, stride=2))
 
     def b_conv_transpose_s2(rng):
-        spec = T.ConvSpec(3, 2, stride=2, padding=1, transposed=True)
         x = _rand(rng, (1, 3, 2, 3, 2))
         w = _rand(rng, (3, 2, 3, 3, 3), -0.5, 0.5)
         bias = _rand(rng, (2,))
         p = _probe(rng, (1, 2, 4, 6, 4))
-        return [x, w, bias], lambda: p(T.conv_transpose3d(x, spec, w, bias))
+        return [x, w, bias], lambda: p(T.conv_transpose3d(x, w, bias, stride=2))
 
     def b_conv_transpose_s1(rng):
-        spec = T.ConvSpec(2, 2, stride=1, padding=1, transposed=True)
         x = _rand(rng, (1, 2, 3, 4, 3))
         w = _rand(rng, (2, 2, 3, 3, 3), -0.5, 0.5)
         bias = _rand(rng, (2,))
         p = _probe(rng, (1, 2, 3, 4, 3))
-        return [x, w, bias], lambda: p(T.conv_transpose3d(x, spec, w, bias))
+        return [x, w, bias], lambda: p(T.conv_transpose3d(x, w, bias))
 
     def b_concat(rng):
         a, b = _rand(rng, (1, 2, 3, 3, 3)), _rand(rng, (1, 3, 3, 3, 3))

@@ -8,7 +8,6 @@ labels 0..K-1 to the external vocabulary {0, 1, 2, 4} at the very end.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -108,60 +107,38 @@ def majority_vote(masks, probs):
     votes = np.stack(masks)
     counts = np.stack([(votes == c).sum(axis=0) for c in range(k)])
     tied = counts == counts.max(axis=0, keepdims=True)
-    mean_probs = np.mean(np.stack(probs), axis=0)
+    mean_probs = np.mean(np.stack(probs), axis=0, dtype=np.float64)
     candidates = np.where(tied, mean_probs, -np.inf)
     # argmax takes the first maximum: the lowest tied label wins final ties
     return candidates.argmax(axis=0).astype(masks[0].dtype)
 
 
-@dataclass
-class PostprocConfig:
-    """Minimum component volume per label value; labels absent keep everything."""
-
-    thresholds: dict = field(default_factory=dict)
-    strategy: str = "remove-component"
-    fallback_class: int = 0
-    semantics: str = "per-component"  # or "total-volume"
-
-    def __post_init__(self):
-        if self.strategy not in ("remove-component", "relabel-class"):
-            raise ValueError(f"unknown postprocessing strategy {self.strategy!r}")
-        if self.semantics not in ("per-component", "total-volume"):
-            raise ValueError(f"unknown threshold semantics {self.semantics!r}")
-        for c, t in self.thresholds.items():
-            if t < 0:
-                raise ValueError(f"negative threshold {t} for class {c}")
-
-
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 
 
-def volume_threshold_postprocess(mask, cfg):
-    """Drop (or relabel) 26-connected components smaller than the threshold."""
+def volume_threshold_postprocess(mask, thresholds):
+    """Drop the 26-connected components of each label smaller than its
+    threshold in ``thresholds`` ({label: min_voxels}); labels absent from
+    it, or with a threshold of 0, keep everything."""
     out = np.asarray(mask).copy()
-    target = 0 if cfg.strategy == "remove-component" else cfg.fallback_class
-    for cls, thr in cfg.thresholds.items():
+    for cls, thr in thresholds.items():
         if thr <= 0:
             continue
-        sel = out == cls
-        if cfg.semantics == "total-volume":
-            if 0 < sel.sum() < thr:
-                out[sel] = target
-            continue
-        comp, n = ndimage.label(sel, structure=_CONN26)
+        comp, n = ndimage.label(out == cls, structure=_CONN26)
         if n == 0:
             continue
         sizes = np.bincount(comp.ravel())
         small = np.flatnonzero(sizes < thr)
         small = small[small > 0]
         if small.size:
-            out[np.isin(comp, small)] = target
+            out[np.isin(comp, small)] = 0
     return out
 
 
-def mask_from_probs(probs, postproc):
-    """Argmax each model's probability map, vote across models, then
-    postprocess; returns a mask in the external label vocabulary."""
+def mask_from_probs(probs, thresholds):
+    """Argmax each model's probability map, vote across models, then drop
+    small components per ``thresholds``; returns a mask in the external
+    label vocabulary."""
     masks = [p.argmax(axis=0) for p in probs]
     voted = majority_vote(masks, probs)
-    return internal_to_external(volume_threshold_postprocess(voted, postproc))
+    return internal_to_external(volume_threshold_postprocess(voted, thresholds))

@@ -106,12 +106,11 @@ def surface_voxels(mask):
     return mask & ~eroded
 
 
-def hd95(pred, truth, spacing=(1.0, 1.0, 1.0),
-         empty_sentinel=HD95_EMPTY_SENTINEL):
+def hd95(pred, truth, spacing=(1.0, 1.0, 1.0)):
     """95th percentile of surface-to-nearest-surface distances, both
     directions pooled into one set.
 
-    Both empty -> 0.0; exactly one empty -> ``empty_sentinel``.
+    Both empty -> 0.0; exactly one empty -> ``HD95_EMPTY_SENTINEL``.
     """
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
@@ -121,7 +120,7 @@ def hd95(pred, truth, spacing=(1.0, 1.0, 1.0),
     if not ps.any() and not ts.any():
         return 0.0
     if not ps.any() or not ts.any():
-        return float(empty_sentinel)
+        return HD95_EMPTY_SENTINEL
     d_to_truth = ndimage.distance_transform_edt(~ts, sampling=spacing)[ps]
     d_to_pred = ndimage.distance_transform_edt(~ps, sampling=spacing)[ts]
     return float(np.percentile(np.concatenate([d_to_truth, d_to_pred]), 95))

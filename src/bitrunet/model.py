@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .tensor import (
-    ConvSpec,
     Tensor,
     add,
     concat,
@@ -59,12 +58,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.ffn_hidden == 0:
             self.ffn_hidden = 4 * self.embed_dim
+        for f in fields(self):
+            value, low = getattr(self, f.name), 0 if f.name == "vit_layers" else 1
+            if f.name != "input_size" and value < low:
+                raise ValueError(f"{f.name} must be at least {low}, got {value}")
         if self.embed_dim % self.heads:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
         self.input_size = tuple(int(s) for s in self.input_size)
         for ax, s in enumerate(self.input_size):
+            if s < 1:
+                raise ValueError(f"input spatial axis {ax} size {s} is not positive")
             if s % 16:
                 raise ValueError(
                     f"input spatial axis {ax} size {s} not divisible by 16"
@@ -160,7 +165,7 @@ class ConvBlock:
     """3x3x3 convolution, then group norm + ReLU unless ``plain``."""
 
     def __init__(self, b, name, cin, cout, stride, groups, plain=False):
-        self.spec = ConvSpec(cin, cout, stride=stride, padding=1)
+        self.stride = stride
         self.w = b.conv_weight(f"{name}.w", (cout, cin, 3, 3, 3))
         self.b = b.zeros(f"{name}.b", (cout,))
         self.plain = plain
@@ -170,7 +175,7 @@ class ConvBlock:
             self.beta = b.zeros(f"{name}.gn_b", (cout,))
 
     def __call__(self, x):
-        y = conv3d(x, self.spec, self.w, self.b)
+        y = conv3d(x, self.w, self.b, self.stride)
         if self.plain:
             return y
         return relu(group_norm(y, self.gamma, self.beta, self.groups))
@@ -180,7 +185,6 @@ class UpBlock:
     """Stride-2 transposed convolution doubling each spatial size."""
 
     def __init__(self, b, name, cin, cout, groups):
-        self.spec = ConvSpec(cin, cout, stride=2, padding=1, transposed=True)
         self.w = b.conv_weight(f"{name}.w", (cin, cout, 3, 3, 3))
         self.b = b.zeros(f"{name}.b", (cout,))
         self.gamma = b.ones(f"{name}.gn_w", (cout,))
@@ -188,7 +192,7 @@ class UpBlock:
         self.groups = groups
 
     def __call__(self, x):
-        y = conv_transpose3d(x, self.spec, self.w, self.b)
+        y = conv_transpose3d(x, self.w, self.b, stride=2)
         return relu(group_norm(y, self.gamma, self.beta, self.groups))
 
 
@@ -202,7 +206,6 @@ class CbamBlock:
         self.b1 = b.zeros(f"{name}.mlp_b1", (hidden,))
         self.w2 = b.mlp_weight(f"{name}.mlp_w2", (hidden, channels))
         self.b2 = b.zeros(f"{name}.mlp_b2", (channels,))
-        self.spatial_spec = ConvSpec(2, 1, stride=1, padding=1)
         self.ws = b.conv_weight(f"{name}.spatial_w", (1, 2, 3, 3, 3))
         self.bs = b.zeros(f"{name}.spatial_b", (1,))
 
@@ -227,7 +230,7 @@ class CbamBlock:
         avg = mul(tsum(f, axis=1, keepdims=True), 1.0 / c)
         mx = tmax(f, axis=1, keepdims=True)
         summary = concat([avg, mx], axis=1)
-        return sigmoid(conv3d(summary, self.spatial_spec, self.ws, self.bs))
+        return sigmoid(conv3d(summary, self.ws, self.bs))
 
 
 def cbam_apply(f, block):
@@ -269,29 +272,18 @@ def _norm_tokens(z, gamma, beta):
     return transpose_last2(layer_norm(transpose_last2(z), gamma, beta))
 
 
-def _attention_map(zn, layer):
-    """The (B, heads, N, N) softmax map of normalized tokens (B, d, N)."""
-    bsz, d, n = zn.shape
-    dh = d // layer.heads
-    q = reshape(add(matmul(layer.wq, zn), layer.bq), (bsz, layer.heads, dh, n))
-    k = reshape(add(matmul(layer.wk, zn), layer.bk), (bsz, layer.heads, dh, n))
-    scores = mul(matmul(transpose_last2(q), k), 1.0 / math.sqrt(dh))
-    return softmax(scores, axis=-1)
-
-
 def multi_head_attention(z, layer):
     """Scaled dot-product attention over token columns of (B, d, N)."""
     bsz, d, n = z.shape
+    dh = d // layer.heads
+    q = reshape(add(matmul(layer.wq, z), layer.bq), (bsz, layer.heads, dh, n))
+    k = reshape(add(matmul(layer.wk, z), layer.bk), (bsz, layer.heads, dh, n))
+    scores = mul(matmul(transpose_last2(q), k), 1.0 / math.sqrt(dh))
+    weights = softmax(scores, axis=-1)
     # v after the map: backward adds the v, k, q gradients into z in that order
-    weights = _attention_map(z, layer)
-    v = reshape(add(matmul(layer.wv, z), layer.bv), (bsz, layer.heads, -1, n))
+    v = reshape(add(matmul(layer.wv, z), layer.bv), (bsz, layer.heads, dh, n))
     mixed = matmul(v, transpose_last2(weights))
     return add(matmul(layer.wo, reshape(mixed, (bsz, d, n))), layer.bo)
-
-
-def attention_weights(z, layer):
-    """The (B, heads, N, N) softmax attention map, for inspection."""
-    return _attention_map(_norm_tokens(z, layer.ln1_g, layer.ln1_b), layer)
 
 
 def transformer_layer(z, layer):
@@ -380,7 +372,6 @@ class BiTrUnetModel:
         for i, (cin, cout) in enumerate(zip(w[:0:-1], w[-2::-1])):
             self.dec_up.append(UpBlock(b, f"d{4 - i}.up", cin, cout, g))
             self.dec_fuse.append(ConvBlock(b, f"d{4 - i}.fuse", 2 * cout, cout, 1, g))
-        self.final_spec = ConvSpec(w[0], cfg.num_classes, stride=1, padding=1)
         self.final_w = b.conv_weight("final.w", (cfg.num_classes, w[0], 3, 3, 3))
         self.final_b = b.zeros("final.b", (cfg.num_classes,))
 
@@ -410,7 +401,7 @@ class BiTrUnetModel:
             y = up(y)
             skip = vit_skip_out if i == 0 else skips[i - 1]
             y = fuse(concat([y, skip], axis=1))
-        return conv3d(y, self.final_spec, self.final_w, self.final_b)
+        return conv3d(y, self.final_w, self.final_b)
 
     def __call__(self, x):
         return self.forward(x)

@@ -5,9 +5,10 @@ Single-file volumes (magic "n+1\\0"), uint8 / int16 / float32 payloads,
 sentinel), plain or gzip streams (sniffed by the gzip magic bytes).
 
 Data on disk is x-fastest; in memory the array is indexed [x, y, z]
-(mapped onto the model's (H, W, D)). The affine portion of the header is
-carried through untouched via the raw header bytes. Gzip output is written
-with a zeroed mtime so identical inputs give byte-identical files.
+(mapped onto the model's (H, W, D)). The writer sets dims, datatype,
+spacing, the data offset and an identity scaling; every other header field
+(the affine among them) is zero. Gzip output is written with a zeroed
+mtime so identical inputs give byte-identical files.
 """
 
 import gzip
@@ -39,7 +40,6 @@ class NiftiHeader:
     scl_slope: float
     scl_inter: float
     endian: str  # "<" or ">"
-    raw: bytes  # the original 348 header bytes, for pass-through
 
     @property
     def spacing(self):
@@ -117,7 +117,6 @@ def parse_header(buf, label="<nifti>"):
         scl_slope=scl_slope,
         scl_inter=scl_inter,
         endian=endian,
-        raw=buf[:HEADER_SIZE],
     )
 
 
@@ -146,46 +145,26 @@ def read_nifti(path):
     return hdr, data
 
 
-def build_header(dims, dtype, spacing=(1.0, 1.0, 1.0), like=None,
-                 scl_slope=1.0, scl_inter=0.0):
-    """A fresh little-endian header, optionally inheriting the affine and
-    orientation bytes of an existing one."""
-    dtype = np.dtype(dtype)
-    if dtype not in _CODES:
-        raise NiftiError(f"cannot write dtype {dtype}; use uint8/int16/float32")
-    raw = bytearray(like.raw) if like is not None else bytearray(HEADER_SIZE)
-    struct.pack_into("<i", raw, 0, HEADER_SIZE)
-    dim = [len(dims)] + list(dims) + [1] * (7 - len(dims))
-    struct.pack_into("<8h", raw, 40, *dim)
-    code = _CODES[dtype]
-    struct.pack_into("<2h", raw, 70, code, dtype.itemsize * 8)
-    pixdim = [1.0] + list(spacing) + [1.0] * (7 - 3)
-    struct.pack_into("<8f", raw, 76, *pixdim)
-    struct.pack_into("<3f", raw, 108, float(HEADER_SIZE + 4), scl_slope, scl_inter)
-    raw[344:348] = MAGIC
-    return NiftiHeader(
-        dims=tuple(dims),
-        datatype=code,
-        bitpix=dtype.itemsize * 8,
-        pixdim=tuple(spacing),
-        vox_offset=HEADER_SIZE + 4,
-        scl_slope=scl_slope,
-        scl_inter=scl_inter,
-        endian="<",
-        raw=bytes(raw),
-    )
-
-
-def write_nifti(path, data, spacing=(1.0, 1.0, 1.0), like=None):
-    """Write an [x, y, z(, t)] array as a single-file NIfTI-1 volume.
+def write_nifti(path, data, spacing=(1.0, 1.0, 1.0)):
+    """Write an [x, y, z(, t)] array as a single-file little-endian NIfTI-1
+    volume with voxel spacing ``spacing``.
 
     Gzip-compresses when the path ends in .gz. The payload keeps the
     array's dtype (uint8, int16 or float32), unscaled.
     """
     data = np.asarray(data)
-    hdr = build_header(data.shape, data.dtype, spacing, like=like)
-    payload = hdr.raw + b"\x00\x00\x00\x00" + data.astype(
-        np.dtype(data.dtype).newbyteorder("<")
+    if data.dtype not in _CODES:
+        raise NiftiError(f"cannot write dtype {data.dtype}; use uint8/int16/float32")
+    raw = bytearray(HEADER_SIZE)
+    struct.pack_into("<i", raw, 0, HEADER_SIZE)
+    dim = [data.ndim] + list(data.shape) + [1] * (7 - data.ndim)
+    struct.pack_into("<8h", raw, 40, *dim)
+    struct.pack_into("<2h", raw, 70, _CODES[data.dtype], data.dtype.itemsize * 8)
+    struct.pack_into("<8f", raw, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
+    struct.pack_into("<3f", raw, 108, float(HEADER_SIZE + 4), 1.0, 0.0)
+    raw[344:348] = MAGIC
+    payload = bytes(raw) + b"\x00\x00\x00\x00" + data.astype(
+        data.dtype.newbyteorder("<")
     ).tobytes(order="F")
     path = str(path)
     if path.endswith(".gz"):
@@ -197,4 +176,3 @@ def write_nifti(path, data, spacing=(1.0, 1.0, 1.0), like=None):
     else:
         with open(path, "wb") as fh:
             fh.write(payload)
-    return hdr

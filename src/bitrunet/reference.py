@@ -116,11 +116,9 @@ def flood_fill_components(binary):
     return labels, current
 
 
-def brute_force_postprocess(mask, thresholds, strategy="remove-component",
-                            fallback_class=0):
+def brute_force_postprocess(mask, thresholds):
     """Reference small-component removal built on the flood fill."""
     out = np.asarray(mask).copy()
-    target = 0 if strategy == "remove-component" else fallback_class
     for cls, thr in thresholds.items():
         if thr <= 0:
             continue
@@ -128,7 +126,7 @@ def brute_force_postprocess(mask, thresholds, strategy="remove-component",
         for comp in range(1, count + 1):
             sel = labels == comp
             if sel.sum() < thr:
-                out[sel] = target
+                out[sel] = 0
     return out
 
 
@@ -156,15 +154,15 @@ def brute_force_surface(binary):
     return out
 
 
-def brute_force_hd95(pred, truth, spacing=(1.0, 1.0, 1.0),
-                     empty_sentinel=373.1287):
-    """All-pairs nearest-surface distances, pooled, 95th percentile."""
+def brute_force_hd95(pred, truth, spacing=(1.0, 1.0, 1.0)):
+    """All-pairs nearest-surface distances, pooled, 95th percentile; 373.1287
+    when exactly one mask has no surface."""
     ps = np.argwhere(brute_force_surface(pred)).astype(np.float64)
     ts = np.argwhere(brute_force_surface(truth)).astype(np.float64)
     if len(ps) == 0 and len(ts) == 0:
         return 0.0
     if len(ps) == 0 or len(ts) == 0:
-        return float(empty_sentinel)
+        return 373.1287
     sp = np.asarray(spacing, dtype=np.float64)
     dists = []
     for src, dst in ((ps, ts), (ts, ps)):

@@ -3,15 +3,14 @@
 A ``Tensor`` wraps a C-contiguous numpy array plus an optional gradient
 buffer. Differentiable operations are free functions; when a ``Tape`` is
 active and any input requires a gradient, the op appends a node holding the
-backward rule. ``backward(loss)`` walks the tape in exact reverse recording
-order, accumulating into ``.grad``.
+backward rule. ``Tape.backward(loss)`` walks the tape in exact reverse
+recording order, accumulating into ``.grad``.
 
 Tape lifetime is one forward pass: enter a fresh ``Tape`` context for each
 training step, run inference with no tape at all.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -56,36 +55,11 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        """A view of the same data with no tape participation."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class Node:
@@ -132,13 +106,6 @@ class Tape:
             if gy is None:
                 continue
             node.rule(gy)
-
-
-def backward(loss):
-    """Reverse pass over the currently active tape."""
-    if _ACTIVE_TAPE is None:
-        raise RuntimeError("backward called with no active Tape")
-    _ACTIVE_TAPE.backward(loss)
 
 
 def _recording(*tensors):
@@ -363,91 +330,72 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 # 3D convolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Geometry of one convolution: 3x3x3 kernel, stride 1 or 2, zero pad."""
-
-    in_channels: int
-    out_channels: int
-    stride: int = 1
-    padding: int = 1
-    kernel: tuple = (3, 3, 3)
-    transposed: bool = False
+_KERNEL = (3, 3, 3)
 
 
-def _check_conv_input(x, spec, opname):
+def _check_conv(x, weight, cin_axis, opname):
+    """Reject a non-5D input, a kernel that is not 3x3x3, an input whose
+    channels differ from the weight's and an empty spatial axis."""
     if x.ndim != 5:
         raise ValueError(f"{opname}: input must be 5D (N,C,H,W,D), got {x.shape}")
-    if x.shape[1] != spec.in_channels:
+    if weight.ndim != 5 or weight.shape[2:] != _KERNEL:
+        raise ValueError(f"{opname}: weight shape {weight.shape} is not a 3x3x3 kernel")
+    cin = weight.shape[cin_axis]
+    if x.shape[1] != cin:
         raise ValueError(
-            f"{opname}: channel axis 1 has size {x.shape[1]}, "
-            f"expected {spec.in_channels}"
+            f"{opname}: channel axis 1 has size {x.shape[1]}, expected {cin}"
         )
     for ax in (2, 3, 4):
         if x.shape[ax] == 0:
             raise ValueError(f"{opname}: spatial axis {ax} has zero size")
 
 
-def conv3d(x, spec, weight, bias):
-    """Forward 3D convolution. Weight (Cout, Cin, kh, kw, kd), bias (Cout,)."""
-    if spec.transposed:
-        raise ValueError("conv3d: spec is transposed; use conv_transpose3d")
-    _check_conv_input(x, spec, "conv3d")
-    wshape = (spec.out_channels, spec.in_channels) + tuple(spec.kernel)
-    if weight.shape != wshape:
-        raise ValueError(f"conv3d: weight shape {weight.shape}, expected {wshape}")
-    out = Tensor(kernels.conv3d_forward(x.data, weight.data, spec.stride, spec.padding))
+def _add_bias(out, bias):
+    if bias is None:
+        return out
+    return add(out, reshape(bias, (out.shape[1], 1, 1, 1)))
+
+
+def conv3d(x, weight, bias, stride=1):
+    """3x3x3 convolution with zero padding 1. Weight (Cout, Cin, 3, 3, 3),
+    bias (Cout,) or None."""
+    _check_conv(x, weight, 1, "conv3d")
+    out = Tensor(kernels.conv3d_forward(x.data, weight.data, stride, 1))
     if _recording(x, weight):
         xd, wd = x.data, weight.data
-        stride, pad = spec.stride, spec.padding
         in_spatial = x.shape[2:]
         def rule(gy):
-            _accum(x, kernels.conv3d_input_grad(gy, wd, stride, pad, in_spatial))
-            _accum(weight, kernels.conv3d_weight_grad(xd, gy, stride, pad, spec.kernel))
+            _accum(x, kernels.conv3d_input_grad(gy, wd, stride, 1, in_spatial))
+            _accum(weight, kernels.conv3d_weight_grad(xd, gy, stride, 1, _KERNEL))
         _record((x, weight), out, rule)
-    if bias is not None:
-        out = add(out, reshape(bias, (spec.out_channels, 1, 1, 1)))
-    return out
+    return _add_bias(out, bias)
 
 
-def conv_transpose3d(x, spec, weight, bias, output_size=None):
-    """Transposed 3D convolution. Weight (Cin, Cout, kh, kw, kd), bias (Cout,).
+def conv_transpose3d(x, weight, bias, stride=1, output_size=None):
+    """Transposed 3x3x3 convolution, the adjoint of ``conv3d`` with the same
+    weight (Cin, Cout, 3, 3, 3); bias (Cout,) or None.
 
     Stride 2 doubles each spatial size exactly; stride 1 preserves it.
     ``output_size`` pins the exact spatial output when the default rule is
     not wanted (the adjoint of a stride-2 conv over an odd extent).
     """
-    if not spec.transposed:
-        raise ValueError("conv_transpose3d: spec is not transposed")
-    _check_conv_input(x, spec, "conv_transpose3d")
-    wshape = (spec.in_channels, spec.out_channels) + tuple(spec.kernel)
-    if weight.shape != wshape:
-        raise ValueError(
-            f"conv_transpose3d: weight shape {weight.shape}, expected {wshape}"
-        )
+    _check_conv(x, weight, 0, "conv_transpose3d")
     if output_size is None:
-        output_size = tuple(spec.stride * n for n in x.shape[2:])
+        output_size = tuple(stride * n for n in x.shape[2:])
     for ax, (n, m) in enumerate(zip(x.shape[2:], output_size)):
-        if kernels.conv_out_size(m, spec.kernel[ax], spec.stride, spec.padding) != n:
+        if kernels.conv_out_size(m, 3, stride, 1) != n:
             raise ValueError(
                 f"conv_transpose3d: output size {m} on spatial axis {ax + 2} "
                 f"is inconsistent with input size {n}"
             )
-    out = Tensor(
-        kernels.conv3d_input_grad(
-            x.data, weight.data, spec.stride, spec.padding, output_size
-        )
-    )
+    out = Tensor(kernels.conv3d_input_grad(x.data, weight.data, stride, 1, output_size))
     if _recording(x, weight):
         xd, wd = x.data, weight.data
-        stride, pad = spec.stride, spec.padding
         def rule(gy):
-            _accum(x, kernels.conv3d_forward(gy, wd, stride, pad))
-            _accum(weight, kernels.conv3d_weight_grad(gy, xd, stride, pad, spec.kernel))
+            _accum(x, kernels.conv3d_forward(gy, wd, stride, 1))
+            _accum(weight, kernels.conv3d_weight_grad(gy, xd, stride, 1, _KERNEL))
         _record((x, weight), out, rule)
-    if bias is not None:
-        out = add(out, reshape(bias, (spec.out_channels, 1, 1, 1)))
-    return out
+    return _add_bias(out, bias)
 
 
 # ---------------------------------------------------------------------------

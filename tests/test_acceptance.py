@@ -23,7 +23,6 @@ from bitrunet.data import (
 )
 from bitrunet.gradcheck import check_model_gradients, run_op_suite
 from bitrunet.inference import (
-    PostprocConfig,
     apply_flip,
     flip_combos,
     majority_vote,
@@ -86,7 +85,7 @@ def test_02_shape_contract():
                                   embed_dim=16, vit_layers=1, heads=2,
                                   ffn_hidden=32, input_size=(h, w, d))
                 model = BiTrUnetModel(cfg, seed=0, dtype=np.float32)
-                ok = ok and [s.spec.out_channels for s in model.enc] == [8, 16, 32, 64]
+                ok = ok and [s.w.shape[0] for s in model.enc] == [8, 16, 32, 64]
                 ok = ok and model.vit_bottleneck.spatial == (h // 16, w // 16, d // 16)
                 x = Tensor(rng.standard_normal((1, 4, h, w, d)).astype(np.float32))
                 y = model.forward(x)
@@ -195,11 +194,10 @@ def test_08_postprocess_oracle():
     for _ in range(110):
         mask = rng.integers(0, 4, (8, 8, 8))
         thr = {c: int(rng.integers(1, 11)) for c in (1, 2, 3)}
-        cfg = PostprocConfig(thresholds=thr)
-        once = volume_threshold_postprocess(mask, cfg)
+        once = volume_threshold_postprocess(mask, thr)
         ref = reference.brute_force_postprocess(mask, thr)
         ok = ok and np.array_equal(once, ref)
-        ok = ok and np.array_equal(volume_threshold_postprocess(once, cfg), once)
+        ok = ok and np.array_equal(volume_threshold_postprocess(once, thr), once)
     _report(8, "postprocessing flood-fill oracle + idempotence", ok,
             "110 random 8^3 masks, exact equality")
 

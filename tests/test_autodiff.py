@@ -9,10 +9,8 @@ from bitrunet.gradcheck import (
     run_op_suite,
 )
 from bitrunet.tensor import (
-    ConvSpec,
     Tape,
     Tensor,
-    backward,
     conv3d,
     matmul,
     mul,
@@ -48,10 +46,6 @@ class TestBackwardBasics:
         with Tape() as tape:
             with pytest.raises(ValueError, match="empty"):
                 tape.backward(Tensor(np.asarray(1.0)))
-
-    def test_backward_needs_active_tape(self):
-        with pytest.raises(RuntimeError, match="no active Tape"):
-            backward(Tensor(np.asarray(1.0)))
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor(np.asarray([2.0]), requires_grad=True)
@@ -98,13 +92,12 @@ class TestOpGradientSuite:
         assert not bad, f"ops outside tolerance: {bad}"
 
     def test_conv3d_gradients_directly(self):
-        spec = ConvSpec(2, 2, stride=2, padding=1)
         x = Tensor(rng.standard_normal((1, 2, 4, 4, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)) * 0.3, requires_grad=True)
         b = Tensor(rng.standard_normal(2), requires_grad=True)
         probe = Tensor(rng.standard_normal((1, 2, 2, 2, 2)))
 
         def forward():
-            return tsum(mul(conv3d(x, spec, w, b), probe))
+            return tsum(mul(conv3d(x, w, b, stride=2), probe))
 
         assert check_gradients([x, w, b], forward) < 1e-6

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bitrunet.cli import cli
-from bitrunet.data import load_case, make_sphere_case
+from bitrunet.data import cache_case, load_case, make_sphere_case
 from bitrunet.nifti import read_nifti, write_nifti
 
 rng = np.random.default_rng(55)
@@ -235,6 +235,24 @@ class TestEnsemble(object):
         _, a = read_nifti(seg)
         _, b = read_nifti(voted)
         assert np.array_equal(a, b)
+
+
+    def test_ensemble_keeps_input_spacing(self, workspace, tmp_path):
+        rec = load_case(workspace / "cache" / "case1.btrc")
+        rec.volume.spacing = (1.5, 1.0, 2.0)
+        case = tmp_path / "aniso.btrc"
+        cache_case(rec, case)
+        dump = tmp_path / "p.f32"
+        direct = tmp_path / "direct.nii.gz"
+        assert cli([
+            "predict",
+            "--models", str(workspace / "run" / "checkpoint_final.ckpt"),
+            "--input", str(case), "--out", str(direct), "--dump-probs", str(dump),
+        ]) == 0
+        assert "spacing: 1.5 1.0 2.0\n" in (tmp_path / "p.f32.hdr").read_text()
+        voted = tmp_path / "voted.nii.gz"
+        assert cli(["ensemble", "--probs", str(dump), "--out", str(voted)]) == 0
+        assert read_nifti(voted)[0].spacing == read_nifti(direct)[0].spacing == (1.5, 1.0, 2.0)
 
 
 class TestEvaluate(object):

@@ -6,7 +6,6 @@ import pytest
 from bitrunet import reference
 from bitrunet.data import make_sphere_case
 from bitrunet.inference import (
-    PostprocConfig,
     apply_flip,
     external_to_internal,
     flip_combos,
@@ -177,57 +176,32 @@ class TestMajorityVote:
 class TestPostprocess:
     def test_zero_threshold_is_identity(self):
         mask = rng.integers(0, 4, (6, 6, 6))
-        cfg = PostprocConfig(thresholds={1: 0, 2: 0, 3: 0})
-        assert np.array_equal(volume_threshold_postprocess(mask, cfg), mask)
+        assert np.array_equal(volume_threshold_postprocess(mask, {1: 0, 2: 0, 3: 0}), mask)
 
     def test_small_component_removed(self):
         mask = np.zeros((8, 8, 8), dtype=np.int64)
         mask[2:3, 2:4, 2:4] = 3  # 4 voxels of class 3
         mask[6, 6, 6] = 3  # 1 more voxel, separate component
-        cfg = PostprocConfig(thresholds={3: 10})
-        out = volume_threshold_postprocess(mask, cfg)
+        out = volume_threshold_postprocess(mask, {3: 10})
         assert (out == 0).all()
-
-    def test_relabel_strategy(self):
-        mask = np.zeros((4, 4, 4), dtype=np.int64)
-        mask[0, 0, 0] = 3
-        cfg = PostprocConfig(thresholds={3: 5}, strategy="relabel-class", fallback_class=1)
-        out = volume_threshold_postprocess(mask, cfg)
-        assert out[0, 0, 0] == 1
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            PostprocConfig(strategy="destroy")
 
     def test_matches_flood_fill_oracle(self):
         for _ in range(20):
             mask = rng.integers(0, 4, (8, 8, 8))
             thr = {1: int(rng.integers(1, 9)), 2: int(rng.integers(1, 9)),
                    3: int(rng.integers(1, 9))}
-            got = volume_threshold_postprocess(mask, PostprocConfig(thresholds=thr))
+            got = volume_threshold_postprocess(mask, thr)
             ref = reference.brute_force_postprocess(mask, thr)
             assert np.array_equal(got, ref)
 
     def test_idempotent(self):
         for _ in range(10):
             mask = rng.integers(0, 4, (8, 8, 8))
-            cfg = PostprocConfig(thresholds={1: 4, 2: 6, 3: 3})
-            once = volume_threshold_postprocess(mask, cfg)
-            twice = volume_threshold_postprocess(once, cfg)
+            thr = {1: 4, 2: 6, 3: 3}
+            once = volume_threshold_postprocess(mask, thr)
+            twice = volume_threshold_postprocess(once, thr)
             assert np.array_equal(once, twice)
 
-    def test_total_volume_semantics(self):
-        mask = np.zeros((6, 6, 6), dtype=np.int64)
-        mask[0, 0, :3] = 2
-        mask[3, 3, :3] = 2  # two components, 6 voxels total
-        got = volume_threshold_postprocess(
-            mask, PostprocConfig(thresholds={2: 5}, semantics="total-volume")
-        )
-        assert np.array_equal(got, mask)  # total 6 >= 5 survives
-        got = volume_threshold_postprocess(
-            mask, PostprocConfig(thresholds={2: 7}, semantics="total-volume")
-        )
-        assert (got == 0).all()
 
 
 class TestPredictCase:
@@ -235,7 +209,7 @@ class TestPredictCase:
 
     def test_background_stub_gives_all_zero(self):
         x = rng.standard_normal((4, 16, 16, 16))
-        out = mask_from_probs([predict_probs(BackgroundModel(), x)], PostprocConfig())
+        out = mask_from_probs([predict_probs(BackgroundModel(), x)], {})
         assert out.shape == (16, 16, 16)
         assert (out == 0).all()
 
@@ -245,14 +219,14 @@ class TestPredictCase:
         scores[3] = 5.0
         x = rng.standard_normal((4, 16, 16, 16))
         probs = predict_probs(ConstantScoreModel(scores), x)
-        out = mask_from_probs([probs], PostprocConfig())
+        out = mask_from_probs([probs], {})
         assert (out == 4).all()
 
     def test_single_model_pipeline_decomposition(self):
         model = tiny_trained_model(iters=6)
         rec = make_sphere_case(size=16, radius=5, seed=12)
         x = rec.volume.data
-        postproc = PostprocConfig(thresholds={1: 3})
+        postproc = {1: 3}
         probs = tta_predict(model, x)
         got = mask_from_probs([probs], postproc)
         expect = internal_to_external(
@@ -262,7 +236,7 @@ class TestPredictCase:
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mask_from_probs([], PostprocConfig())
+            mask_from_probs([], {})
 
     def test_tta_false_uses_single_pass(self):
         model = tiny_trained_model(iters=4)

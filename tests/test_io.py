@@ -20,7 +20,6 @@ from bitrunet.data import (
 from bitrunet.nifti import (
     HEADER_SIZE,
     NiftiError,
-    build_header,
     read_nifti,
     write_nifti,
 )
@@ -126,9 +125,10 @@ class TestNifti:
         # int16 value 3 with slope 2.0 and inter 1.0 reads as 7.0
         path = tmp_path / "s.nii"
         data = np.full((2, 2, 2), 3, dtype=np.int16)
-        hdr = build_header((2, 2, 2), np.int16, scl_slope=2.0, scl_inter=1.0)
-        payload = hdr.raw + b"\x00" * 4 + data.tobytes(order="F")
-        path.write_bytes(payload)
+        write_nifti(path, data)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<2f", raw, 112, 2.0, 1.0)  # scl_slope, scl_inter
+        path.write_bytes(bytes(raw))
         _, back = read_nifti(path)
         assert back.dtype == np.float32
         assert (back == 7.0).all()

@@ -162,7 +162,7 @@ class TestHd95:
         f = np.zeros((3, 3, 3), bool)
         f[1, 1, 1] = True
         assert hd95(z, f) == HD95_EMPTY_SENTINEL
-        assert hd95(f, z, empty_sentinel=99.0) == 99.0
+        assert hd95(f, z) == HD95_EMPTY_SENTINEL
 
     def test_symmetry(self):
         a = rng.random((6, 6, 6)) < 0.25

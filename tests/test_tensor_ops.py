@@ -5,7 +5,6 @@ import pytest
 
 from bitrunet import kernels, reference
 from bitrunet.tensor import (
-    ConvSpec,
     Tensor,
     concat,
     conv3d,
@@ -24,24 +23,20 @@ class TestConv3d:
         x = Tensor(np.ones((1, 1, 4, 4, 4)))
         w = np.zeros((1, 1, 3, 3, 3))
         w[0, 0, 1, 1, 1] = 1.0
-        spec = ConvSpec(1, 1, stride=1, padding=1)
-        y = conv3d(x, spec, Tensor(w), Tensor(np.zeros(1)))
+        y = conv3d(x, Tensor(w), Tensor(np.zeros(1)))
         assert np.array_equal(y.data, x.data)
 
     def test_stride2_halves_spatial(self):
         x = Tensor(rng.standard_normal((1, 1, 4, 4, 4)))
-        spec = ConvSpec(1, 2, stride=2, padding=1)
-        y = conv3d(x, spec, Tensor(rng.standard_normal((2, 1, 3, 3, 3))), Tensor(np.zeros(2)))
+        w = Tensor(rng.standard_normal((2, 1, 3, 3, 3)))
+        y = conv3d(x, w, Tensor(np.zeros(2)), stride=2)
         assert y.shape == (1, 2, 2, 2, 2)
 
     def test_matches_naive_loop(self):
         x = rng.standard_normal((1, 2, 5, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3, 3))
         for stride in (1, 2):
-            got = conv3d(
-                Tensor(x), ConvSpec(2, 3, stride=stride, padding=1),
-                Tensor(w), Tensor(np.zeros(3)),
-            ).data
+            got = conv3d(Tensor(x), Tensor(w), Tensor(np.zeros(3)), stride).data
             ref = reference.naive_conv3d(x, w, stride, 1)
             rel = np.abs(got - ref).max() / np.abs(ref).max()
             assert rel < 1e-6
@@ -49,7 +44,7 @@ class TestConv3d:
     def test_zero_input_gives_broadcast_bias(self):
         bias = rng.standard_normal(3)
         y = conv3d(
-            Tensor(np.zeros((2, 2, 4, 4, 4))), ConvSpec(2, 3),
+            Tensor(np.zeros((2, 2, 4, 4, 4))),
             Tensor(rng.standard_normal((3, 2, 3, 3, 3))), Tensor(bias),
         )
         assert np.array_equal(y.data, np.broadcast_to(bias[:, None, None, None], (2, 3, 4, 4, 4)))
@@ -57,19 +52,27 @@ class TestConv3d:
     def test_channel_mismatch_names_axis(self):
         x = Tensor(np.zeros((1, 3, 4, 4, 4)))
         with pytest.raises(ValueError, match="axis 1.*size 3.*expected 2"):
-            conv3d(x, ConvSpec(2, 1), Tensor(np.zeros((1, 2, 3, 3, 3))), None)
+            conv3d(x, Tensor(np.zeros((1, 2, 3, 3, 3))), None)
 
     def test_zero_spatial_rejected(self):
         x = Tensor(np.zeros((1, 2, 4, 0, 4)))
         with pytest.raises(ValueError, match="axis 3.*zero"):
-            conv3d(x, ConvSpec(2, 1), Tensor(np.zeros((1, 2, 3, 3, 3))), None)
+            conv3d(x, Tensor(np.zeros((1, 2, 3, 3, 3))), None)
+
+    @pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 3, 5), (3, 3)])
+    def test_non_3x3x3_weight_rejected(self, kernel):
+        x = Tensor(np.zeros((1, 2, 4, 4, 4)))
+        with pytest.raises(ValueError, match="not a 3x3x3 kernel"):
+            conv3d(x, Tensor(np.zeros((1, 2) + kernel)), None)
+        with pytest.raises(ValueError, match="not a 3x3x3 kernel"):
+            conv_transpose3d(x, Tensor(np.zeros((2, 1) + kernel)), None)
 
 
 class TestConvTranspose3d:
     def test_stride2_doubles_spatial(self):
         x = Tensor(rng.standard_normal((1, 1, 2, 2, 2)))
-        spec = ConvSpec(1, 1, stride=2, padding=1, transposed=True)
-        y = conv_transpose3d(x, spec, Tensor(rng.standard_normal((1, 1, 3, 3, 3))), Tensor(np.zeros(1)))
+        w = Tensor(rng.standard_normal((1, 1, 3, 3, 3)))
+        y = conv_transpose3d(x, w, Tensor(np.zeros(1)), stride=2)
         assert y.shape == (1, 1, 4, 4, 4)
 
     @pytest.mark.parametrize("stride,in_spatial", [(1, (3, 4, 5)), (2, (4, 4, 6))])
@@ -77,30 +80,26 @@ class TestConvTranspose3d:
         # <conv(x), y> == <x, conv_transpose(y)> with a shared weight
         w = rng.standard_normal((3, 2, 3, 3, 3))
         x = rng.standard_normal((1, 2) + in_spatial)
-        spec = ConvSpec(2, 3, stride=stride, padding=1)
-        cx = conv3d(Tensor(x), spec, Tensor(w), None).data
+        cx = conv3d(Tensor(x), Tensor(w), None, stride).data
         y = rng.standard_normal(cx.shape)
-        tspec = ConvSpec(3, 2, stride=stride, padding=1, transposed=True)
-        ty = conv_transpose3d(Tensor(y), tspec, Tensor(w), None, output_size=in_spatial).data
+        ty = conv_transpose3d(Tensor(y), Tensor(w), None, stride, output_size=in_spatial).data
         lhs = float((cx * y).sum())
         rhs = float((x * ty).sum())
         assert abs(lhs - rhs) / abs(lhs) < 1e-6
 
     def test_zero_input_gives_bias(self):
         bias = rng.standard_normal(2)
-        spec = ConvSpec(3, 2, stride=2, padding=1, transposed=True)
         y = conv_transpose3d(
-            Tensor(np.zeros((1, 3, 2, 2, 2))), spec,
-            Tensor(rng.standard_normal((3, 2, 3, 3, 3))), Tensor(bias),
+            Tensor(np.zeros((1, 3, 2, 2, 2))),
+            Tensor(rng.standard_normal((3, 2, 3, 3, 3))), Tensor(bias), stride=2,
         )
         assert np.array_equal(y.data, np.broadcast_to(bias[:, None, None, None], (1, 2, 4, 4, 4)))
 
-    def test_requires_transposed_spec(self):
-        with pytest.raises(ValueError, match="not transposed"):
-            conv_transpose3d(
-                Tensor(np.zeros((1, 1, 2, 2, 2))), ConvSpec(1, 1),
-                Tensor(np.zeros((1, 1, 3, 3, 3))), None,
-            )
+    def test_channel_mismatch_names_axis(self):
+        # the transposed weight is (Cin, Cout, 3, 3, 3)
+        x = Tensor(np.zeros((1, 3, 2, 2, 2)))
+        with pytest.raises(ValueError, match="axis 1.*size 3.*expected 2"):
+            conv_transpose3d(x, Tensor(np.zeros((2, 3, 3, 3, 3))), None)
 
 
 class TestMatmul:
@@ -184,21 +183,17 @@ class TestAdjointness:
 
     def test_conv_stride1(self):
         w = rng.standard_normal((3, 2, 3, 3, 3))
-        spec = ConvSpec(2, 3)
-        tspec = ConvSpec(3, 2, transposed=True)
         self._check(
-            lambda x: conv3d(Tensor(x), spec, Tensor(w), None).data,
-            lambda y: conv_transpose3d(Tensor(y), tspec, Tensor(w), None).data,
+            lambda x: conv3d(Tensor(x), Tensor(w), None).data,
+            lambda y: conv_transpose3d(Tensor(y), Tensor(w), None).data,
             (1, 2, 4, 4, 4), (1, 3, 4, 4, 4),
         )
 
     def test_conv_stride2(self):
         w = rng.standard_normal((3, 2, 3, 3, 3))
-        spec = ConvSpec(2, 3, stride=2)
-        tspec = ConvSpec(3, 2, stride=2, transposed=True)
         self._check(
-            lambda x: conv3d(Tensor(x), spec, Tensor(w), None).data,
-            lambda y: conv_transpose3d(Tensor(y), tspec, Tensor(w), None).data,
+            lambda x: conv3d(Tensor(x), Tensor(w), None, stride=2).data,
+            lambda y: conv_transpose3d(Tensor(y), Tensor(w), None, stride=2).data,
             (1, 2, 4, 4, 4), (1, 3, 2, 2, 2),
         )
 
