@@ -18,6 +18,7 @@ from .data import (
     CacheError,
     CaseRecord,
     cache_case,
+    check_same_spacing,
     load_case,
     make_sphere_case,
     normalize,
@@ -39,7 +40,7 @@ from .inference import (
 from .metrics import REGIONS, evaluate_case, format_report, hd95
 from .model import BiTrUnetModel, ModelConfig, parse_key_values
 from .nifti import NiftiError, read_nifti, write_nifti
-from .training import AugmentConfig, LossConfig, TrainConfig, train_loop
+from .training import TrainConfig, train_loop
 
 
 class _UsageError(Exception):
@@ -101,41 +102,31 @@ def _build_parser():
 # helpers
 # ---------------------------------------------------------------------------
 
-def _field_keys(cls, *skip):
-    """key -> (type, default) for the fields of a config dataclass."""
-    return {f.name: (f.type, f.default) for f in fields(cls) if f.name not in skip}
-
-
 # train config key -> (type, default); a key not listed here is an error.
-# Each section builds one config dataclass and takes its keys, types and
-# defaults from that class; crop_size stands in for input_size on every axis,
-# and the augmentation keys become AugmentConfig's ranges.
-_MODEL_KEYS = _field_keys(ModelConfig, "input_size")
-_LOOP_KEYS = _field_keys(TrainConfig, "augment", "loss")
-_LOSS_KEYS = _field_keys(LossConfig, "num_classes", "dice_eps")
-_AUGMENT_KEYS = {
-    "shift": (float, AugmentConfig.shift_range[1]),
-    "scale_min": (float, AugmentConfig.scale_range[0]),
-    "scale_max": (float, AugmentConfig.scale_range[1]),
-}
+# The keys are the fields of ModelConfig and TrainConfig, except that
+# crop_size stands in for the model's input size on every axis.
 _TRAIN_KEYS = {
-    **_MODEL_KEYS, **_LOOP_KEYS, **_LOSS_KEYS, **_AUGMENT_KEYS,
-    "crop_size": (int, 32),
-    "augment": (int, 1),
+    f.name: (f.type, f.default)
+    for f in fields(ModelConfig) + fields(TrainConfig)
+    if f.name != "input_size"
 }
+_TRAIN_KEYS["crop_size"] = (int, 32)
 
 
 def _load_train_config(path):
-    """Every ``_TRAIN_KEYS`` setting, from the file or its default."""
+    """(ModelConfig, TrainConfig) of a train file; an unset key takes its default."""
     with open(path) as fh:
         kv = parse_key_values(fh.read(), path)
     unknown = sorted(set(kv) - set(_TRAIN_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    return {
+    c = {
         k: cast(kv[k]) if k in kv else default
         for k, (cast, default) in _TRAIN_KEYS.items()
     }
+    crop = c.pop("crop_size")
+    train_cfg = TrainConfig(**{f.name: c.pop(f.name) for f in fields(TrainConfig)})
+    return ModelConfig(input_size=(crop,) * 3, **c), train_cfg
 
 
 def _find_modality_files(case_dir):
@@ -172,7 +163,8 @@ def _write_prob_dump(path, probs, spacing):
     with open(path + ".hdr", "w") as fh:
         fh.write("dims: " + " ".join(str(n) for n in probs.shape) + "\n")
         fh.write("spacing: " + " ".join(repr(float(v)) for v in spacing) + "\n")
-        fh.write("classes: 0 1 2 4\n")
+        classes = EXTERNAL_LABELS[: len(probs)]
+        fh.write("classes: " + " ".join(str(v) for v in classes) + "\n")
         fh.write("dtype: float32 little-endian\n")
 
 
@@ -219,13 +211,6 @@ def _read_prob_dump(path):
     return raw.reshape(dims), spacing
 
 
-def _check_same_spacing(a, a_spacing, b, b_spacing):
-    """Raise naming both sources unless the spacings agree within 1e-6."""
-    if not all(math.isclose(u, v, rel_tol=1e-6) for u, v in zip(a_spacing, b_spacing)):
-        shown = [" x ".join(f"{v:g}" for v in sp) for sp in (a_spacing, b_spacing)]
-        raise ValueError(f"voxel spacing differs: {a} has {shown[0]}, {b} has {shown[1]}")
-
-
 def _thresholds(et_threshold):
     """The ``{label: min_voxels}`` postprocessing of an ET threshold."""
     return {3: et_threshold} if et_threshold > 0 else {}
@@ -253,23 +238,7 @@ def _cmd_preprocess(args):
 
 
 def _cmd_train(args):
-    c = _load_train_config(args.config)
-
-    def section(keys):
-        return {k: c[k] for k in keys}
-
-    crop = c["crop_size"]
-    model_cfg = ModelConfig(input_size=(crop, crop, crop), **section(_MODEL_KEYS))
-    use_augment = c["augment"]
-    augment_cfg = None
-    if use_augment:
-        augment_cfg = AugmentConfig(
-            crop_size=crop,
-            shift_range=(-c["shift"], c["shift"]),
-            scale_range=(c["scale_min"], c["scale_max"]),
-        )
-    loss_cfg = LossConfig(num_classes=model_cfg.num_classes, **section(_LOSS_KEYS))
-    train_cfg = TrainConfig(augment=augment_cfg, loss=loss_cfg, **section(_LOOP_KEYS))
+    model_cfg, train_cfg = _load_train_config(args.config)
     files = sorted(
         os.path.join(args.data, f)
         for f in os.listdir(args.data)
@@ -283,13 +252,13 @@ def _cmd_train(args):
         if rec.label is None:
             raise ValueError(f"{f}: case has no label, cannot train on it")
         label = external_to_internal(rec.label).astype(np.int64)
-        if not use_augment and rec.volume.data.shape[1:] != model_cfg.input_size:
+        if not train_cfg.augment and rec.volume.data.shape[1:] != model_cfg.input_size:
             raise ValueError(
                 f"{f}: volume {rec.volume.data.shape[1:]} does not match model "
                 f"input {model_cfg.input_size} and augmentation is off"
             )
         dataset.append((rec.volume.data, label))
-    model = BiTrUnetModel(model_cfg, seed=c["seed"], dtype=np.float32)
+    model = BiTrUnetModel(model_cfg, seed=train_cfg.seed, dtype=np.float32)
     history = train_loop(model, dataset, train_cfg, out_dir=args.out)
     if history:
         it, lr, total, ce, dce = history[-1]
@@ -326,7 +295,7 @@ def _cmd_ensemble(args):
     for path, (p, sp) in zip(args.probs, dumps):
         if p.shape != first.shape:
             raise ValueError(f"{path}: shape {p.shape} differs from {first.shape}")
-        _check_same_spacing(args.probs[0], spacing, path, sp)
+        check_same_spacing(args.probs[0], spacing, path, sp)
     mask = mask_from_probs([p for p, _ in dumps], _thresholds(args.postproc_threshold))
     write_nifti(args.out, mask.astype(np.uint8), spacing=spacing)
     print(f"wrote {args.out} from {len(dumps)} probability maps")
@@ -352,7 +321,7 @@ def _cmd_evaluate(args):
     for name in common:
         pred_hdr, pred = read_nifti(preds[name])
         truth_hdr, truth = read_nifti(truths[name])
-        _check_same_spacing(preds[name], pred_hdr.spacing, truths[name], truth_hdr.spacing)
+        check_same_spacing(preds[name], pred_hdr.spacing, truths[name], truth_hdr.spacing)
         case_id = name.replace(".nii.gz", "").replace(".nii", "")
         results[case_id] = evaluate_case(
             np.asarray(pred), np.asarray(truth), spacing=pred_hdr.spacing,

@@ -14,6 +14,7 @@ Cache file layout (little-endian, trailing CRC32 of everything before it):
     crc      u32, CRC32 of all preceding bytes
 """
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -63,6 +64,13 @@ class CaseRecord:
                 )
 
 
+def check_same_spacing(a, a_spacing, b, b_spacing):
+    """Raise naming both sources unless the spacings agree within 1e-6 relative."""
+    if not all(math.isclose(u, v, rel_tol=1e-6) for u, v in zip(a_spacing, b_spacing)):
+        shown = [" x ".join(f"{v:g}" for v in sp) for sp in (a_spacing, b_spacing)]
+        raise ValueError(f"voxel spacing differs: {a} has {shown[0]}, {b} has {shown[1]}")
+
+
 def stack_modalities(paths):
     """Load four NIfTI volumes in [T1, T1c, T2, FLAIR] order into one array."""
     if len(paths) != 4:
@@ -81,11 +89,8 @@ def stack_modalities(paths):
                 f"{name} volume {path} has shape {data.shape}, "
                 f"other modalities have {shape}"
             )
-        elif not np.allclose(hdr.spacing, spacing, rtol=1e-5):
-            raise ValueError(
-                f"{name} volume {path} has voxel spacing {hdr.spacing}, "
-                f"other modalities have {spacing}"
-            )
+        else:
+            check_same_spacing(paths[0], spacing, path, hdr.spacing)
         vols.append(np.asarray(data, dtype=np.float32))
     return Volume4D(np.stack(vols), spacing=spacing)
 

@@ -16,24 +16,57 @@ from .checkpoint import save_checkpoint
 
 
 # ---------------------------------------------------------------------------
+# config
+# ---------------------------------------------------------------------------
+
+# Adam moment decays and denominator guard, and the soft-Dice smoothing term
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+DICE_EPS = 1e-5
+
+
+@dataclass
+class TrainConfig:
+    """Every non-model key of a train file, with the file's defaults."""
+
+    iters: int = 300
+    base_lr: float = 2e-4
+    power: float = 0.9
+    batch_size: int = 1
+    grad_accum: int = 1
+    seed: int = 0
+    checkpoint_every: int = 0  # 0 = final checkpoint only
+    w_ce: float = 1.0
+    w_dice: float = 1.0
+    augment: int = 1  # 1 = random crop and intensity augmentation, 0 = off
+    shift: float = 0.1  # intensity shift drawn from [-shift, shift]
+    scale_min: float = 0.9
+    scale_max: float = 1.1
+
+    def __post_init__(self):
+        for name, low in (("iters", 0), ("batch_size", 1), ("grad_accum", 1),
+                          ("checkpoint_every", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        if self.augment not in (0, 1):
+            raise ValueError(f"augment must be 0 or 1, got {self.augment}")
+        if self.w_ce < 0 or self.w_dice < 0 or (self.w_ce == 0 and self.w_dice == 0):
+            raise ValueError("loss weights w_ce and w_dice must be nonnegative "
+                             "and not both zero")
+
+
+# ---------------------------------------------------------------------------
 # learning rate schedule
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LrSchedule:
-    total_iters: int
-    base_lr: float = 2e-4
-    power: float = 0.9
-
-
-def poly_lr(it, schedule):
-    """base_lr * (1 - iter/total) ** power; exactly base_lr at 0, 0 at total."""
-    if not 0 <= it <= schedule.total_iters:
-        raise ValueError(
-            f"iteration {it} outside [0, {schedule.total_iters}]"
-        )
-    frac = 1.0 - it / schedule.total_iters
-    return schedule.base_lr * frac ** schedule.power
+def poly_lr(it, cfg):
+    """base_lr * (1 - iter/iters) ** power; exactly base_lr at 0, 0 at iters."""
+    if not 0 <= it <= cfg.iters:
+        raise ValueError(f"iteration {it} outside [0, {cfg.iters}]")
+    frac = 1.0 - it / max(cfg.iters, 1)
+    return cfg.base_lr * frac ** cfg.power
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +78,12 @@ class OptimizerState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(params, state, lr):
     """One bias-corrected Adam update over a name -> Tensor mapping."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -70,34 +100,21 @@ def adam_step(params, state, lr):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AugmentConfig:
-    crop_size: tuple = (128, 128, 128)
-    shift_range: tuple = (-0.1, 0.1)
-    scale_range: tuple = (0.9, 1.1)
-
-    def __post_init__(self):
-        if isinstance(self.crop_size, int):
-            self.crop_size = (self.crop_size,) * 3
-        self.crop_size = tuple(int(c) for c in self.crop_size)
-
-
-def augment(image, label, cfg, rng):
-    """Random crop plus per-channel intensity scale and shift.
+def augment(image, label, crop, cfg, rng):
+    """Random ``crop``-sized crop plus per-channel intensity scale and shift.
 
     ``image`` is (C, H, W, D); ``label`` (H, W, D) or None gets the same
     crop and is otherwise untouched. Draw order is fixed (3 offsets, then
     scale and shift per channel) so a seeded rng reproduces exactly.
     """
     ch, *spatial = image.shape
-    crop = cfg.crop_size
     for ax in range(3):
         if crop[ax] > spatial[ax]:
             raise ValueError(
@@ -107,8 +124,8 @@ def augment(image, label, cfg, rng):
     sl = tuple(slice(off[ax], off[ax] + crop[ax]) for ax in range(3))
     out = image[(slice(None),) + sl].copy()
     for c in range(ch):
-        s = rng.uniform(*cfg.scale_range)
-        delta = rng.uniform(*cfg.shift_range)
+        s = rng.uniform(cfg.scale_min, cfg.scale_max)
+        delta = rng.uniform(-cfg.shift, cfg.shift)
         out[c] = out[c] * s + delta
     out_label = None if label is None else label[sl].copy()
     return out, out_label
@@ -117,18 +134,6 @@ def augment(image, label, cfg, rng):
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LossConfig:
-    w_ce: float = 1.0
-    w_dice: float = 1.0
-    num_classes: int = 4
-    dice_eps: float = 1e-5
-
-    def __post_init__(self):
-        if self.w_ce < 0 or self.w_dice < 0 or (self.w_ce == 0 and self.w_dice == 0):
-            raise ValueError("loss weights must be nonnegative and not both zero")
-
 
 def _one_hot(target, k, dtype):
     # (N, H, W, D) int -> (N, K, H, W, D) indicator
@@ -142,11 +147,9 @@ def loss_terms(scores, target, cfg):
     """Total loss plus its cross-entropy and Dice components (all Tensors).
 
     ``scores`` is (N, K, H, W, D) raw class scores, ``target`` an integer
-    array (N, H, W, D) of labels in [0, K).
+    array (N, H, W, D) of labels in [0, K); ``cfg`` gives the weights.
     """
-    k = cfg.num_classes
-    if scores.shape[1] != k:
-        raise ValueError(f"scores have {scores.shape[1]} classes, config says {k}")
+    k = scores.shape[1]
     target = np.asarray(target)
     if target.ndim == 3:
         target = target[None]
@@ -170,8 +173,9 @@ def loss_terms(scores, target, cfg):
     inter = T.tsum(T.mul(p, onehot), axis=axes)
     p_sum = T.tsum(p, axis=axes)
     t_sum = T.Tensor(onehot.data.sum(axis=axes))
-    eps = cfg.dice_eps
-    dice_per_class = T.div(T.add(T.mul(inter, 2.0), eps), T.add(T.add(p_sum, t_sum), eps))
+    dice_per_class = T.div(
+        T.add(T.mul(inter, 2.0), DICE_EPS), T.add(T.add(p_sum, t_sum), DICE_EPS)
+    )
     fg = np.ones(k, dtype=scores.dtype)
     fg[0] = 0.0
     mean_fg = T.mul(T.tsum(T.mul(dice_per_class, T.Tensor(fg))), 1.0 / (k - 1))
@@ -181,12 +185,7 @@ def loss_terms(scores, target, cfg):
     return total, ce, dice_loss
 
 
-def loss(scores, target, cfg):
-    """Scalar training loss: w_ce * CE + w_dice * (1 - mean foreground Dice)."""
-    return loss_terms(scores, target, cfg)[0]
-
-
-def soft_dice_score(scores_data, target, num_classes, eps=1e-5):
+def soft_dice_score(scores_data, target, num_classes, eps=DICE_EPS):
     """Mean soft Dice over foreground classes, from raw score arrays."""
     z = scores_data - scores_data.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -207,19 +206,6 @@ def soft_dice_score(scores_data, target, num_classes, eps=1e-5):
 # loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrainConfig:
-    iters: int = 300
-    base_lr: float = 2e-4
-    power: float = 0.9
-    batch_size: int = 1
-    grad_accum: int = 1
-    seed: int = 0
-    checkpoint_every: int = 0  # 0 = final checkpoint only
-    augment: AugmentConfig | None = None
-    loss: LossConfig = field(default_factory=LossConfig)
-
-
 def train_loop(model, dataset, cfg, out_dir=None):
     """Optimize ``model`` on (image, label) pairs; returns the loss history.
 
@@ -230,7 +216,6 @@ def train_loop(model, dataset, cfg, out_dir=None):
     if not dataset:
         raise ValueError("train_loop: dataset is empty")
     rng = np.random.default_rng(cfg.seed)
-    schedule = LrSchedule(total_iters=max(cfg.iters, 1), base_lr=cfg.base_lr, power=cfg.power)
     state = OptimizerState()
     history = []
     log_fh = None
@@ -240,7 +225,7 @@ def train_loop(model, dataset, cfg, out_dir=None):
         save_checkpoint(model, os.path.join(out_dir, "checkpoint_000000.ckpt"))
     try:
         for it in range(cfg.iters):
-            lr = poly_lr(it, schedule)
+            lr = poly_lr(it, cfg)
             model.zero_grads()
             tot_v = ce_v = dice_v = 0.0
             for _ in range(cfg.grad_accum):
@@ -248,14 +233,14 @@ def train_loop(model, dataset, cfg, out_dir=None):
                 for _ in range(cfg.batch_size):
                     idx = int(rng.integers(len(dataset)))
                     img, lab = dataset[idx]
-                    if cfg.augment is not None:
-                        img, lab = augment(img, lab, cfg.augment, rng)
+                    if cfg.augment:
+                        img, lab = augment(img, lab, model.config.input_size, cfg, rng)
                     images.append(img)
                     labels.append(lab)
                 batch = T.Tensor(np.stack(images), dtype=model.dtype)
                 target = np.stack(labels)
                 with T.Tape() as tape:
-                    total, ce, dice = loss_terms(model.forward(batch), target, cfg.loss)
+                    total, ce, dice = loss_terms(model.forward(batch), target, cfg)
                     if cfg.grad_accum > 1:
                         total = T.mul(total, 1.0 / cfg.grad_accum)
                     tape.backward(total)

@@ -40,8 +40,6 @@ from bitrunet.model import (
 from bitrunet.nifti import NiftiError, read_nifti, write_nifti
 from bitrunet.tensor import Tensor
 from bitrunet.training import (
-    LossConfig,
-    LrSchedule,
     TrainConfig,
     poly_lr,
     soft_dice_score,
@@ -117,8 +115,7 @@ def test_04_overfit_smoke():
                       input_size=(32, 32, 32))
     model = BiTrUnetModel(cfg, seed=3, dtype=np.float32)
     dataset = [(rec.volume.data, rec.label.astype(np.int64))]
-    tc = TrainConfig(iters=300, base_lr=2e-4, power=0.9, seed=0,
-                     loss=LossConfig(num_classes=2))
+    tc = TrainConfig(iters=300, base_lr=2e-4, power=0.9, seed=0, augment=0)
     history = train_loop(model, dataset, tc)
     scores = model.forward(Tensor(rec.volume.data[None], dtype=np.float32))
     sd = soft_dice_score(scores.data, rec.label[None].astype(np.int64), 2)
@@ -135,7 +132,7 @@ def test_05_tta_equivariance():
                       input_size=(16, 16, 16))
     model = BiTrUnetModel(cfg, seed=2, dtype=np.float32)
     train_loop(model, [(rec.volume.data, rec.label.astype(np.int64))],
-               TrainConfig(iters=10, loss=LossConfig(num_classes=2), seed=1))
+               TrainConfig(iters=10, augment=0, seed=1))
     x = rec.volume.data
     base = tta_predict(model, x)
     worst = 0.0
@@ -255,7 +252,7 @@ def test_09_format_roundtrips(tmp_path):
 
 
 def test_10_schedule_endpoints():
-    sched = LrSchedule(total_iters=7050, base_lr=2e-4, power=0.9)
+    sched = TrainConfig(iters=7050, base_lr=2e-4, power=0.9)
     start = poly_lr(0, sched)
     end = poly_lr(7050, sched)
     mid = poly_lr(7050 // 2, sched)

@@ -1,14 +1,19 @@
 """End-to-end command-line workflows on synthetic data."""
 
+import re
 import struct
 import zlib
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bitrunet.cli import cli
+from bitrunet.cli import _TRAIN_KEYS, _load_train_config, cli
 from bitrunet.data import cache_case, load_case, make_sphere_case
+from bitrunet.model import ModelConfig
 from bitrunet.nifti import read_nifti, write_nifti
+from bitrunet.training import TrainConfig
 
 rng = np.random.default_rng(55)
 
@@ -60,6 +65,23 @@ class TestPreprocess(object):
         nz = rec.volume.data[0][rec.volume.data[0] != 0]
         assert abs(nz.mean()) < 1e-4
 
+    def test_modality_spacing_mismatch_is_data_error(self, tmp_path, capsys):
+        # 10 * 2**-20 (about 1e-5 relative, exact in float32) is over the
+        # 1e-6 relative tolerance that evaluate and ensemble also apply
+        paths = {}
+        for m in ("t1", "t1c", "t2", "flair"):
+            paths[m] = tmp_path / f"{m}.nii.gz"
+            x = 1.0 + 10 * 2.0**-20 if m == "t2" else 1.0
+            write_nifti(paths[m], np.ones((4, 4, 4), np.float32), spacing=(x, 1.0, 1.0))
+        args = ["preprocess", "--case-id", "c", "--out", str(tmp_path / "c.btrc")]
+        for m, path in paths.items():
+            args += [f"--{m}", str(path)]
+        assert cli(args) == 2
+        err = capsys.readouterr().err
+        assert "spacing" in err
+        assert str(paths["t1"]) in err and str(paths["t2"]) in err
+        assert not (tmp_path / "c.btrc").exists()
+
 
 class TestTrain(object):
     def test_run_artifacts(self, workspace):
@@ -86,7 +108,72 @@ class TestTrain(object):
         assert "id length at byte 8" in capsys.readouterr().err
 
 
+# every train-file key with its default: a changed default changes what an
+# existing train file means
+_DEFAULTS = {
+    "in_channels": 4, "base_width": 16, "num_classes": 4, "embed_dim": 384,
+    "vit_layers": 4, "heads": 8, "ffn_hidden": 0, "cbam_reduction": 8,
+    "norm_groups": 8, "crop_size": 32, "iters": 300, "base_lr": 2e-4,
+    "power": 0.9, "batch_size": 1, "grad_accum": 1, "seed": 0,
+    "checkpoint_every": 0, "w_ce": 1.0, "w_dice": 1.0, "augment": 1,
+    "shift": 0.1, "scale_min": 0.9, "scale_max": 1.1,
+}
+
+
 class TestTrainConfig(object):
+    def test_keys_are_the_config_fields(self):
+        want = {f.name for f in fields(ModelConfig) if f.name != "input_size"}
+        want |= {f.name for f in fields(TrainConfig)} | {"crop_size"}
+        assert set(_TRAIN_KEYS) == want
+
+    def test_defaults_unchanged(self):
+        assert {k: default for k, (_, default) in _TRAIN_KEYS.items()} == _DEFAULTS
+        for k, (cast, default) in _TRAIN_KEYS.items():
+            assert type(default) is cast, k
+
+    def test_every_key_reaches_its_config(self, tmp_path):
+        values = {
+            "in_channels": 3, "base_width": 8, "num_classes": 3, "embed_dim": 24,
+            "vit_layers": 2, "heads": 3, "ffn_hidden": 40, "cbam_reduction": 4,
+            "norm_groups": 4, "crop_size": 48, "iters": 7, "base_lr": 1e-3,
+            "power": 0.5, "batch_size": 2, "grad_accum": 3, "seed": 11,
+            "checkpoint_every": 2, "w_ce": 0.5, "w_dice": 2.0, "augment": 0,
+            "shift": 0.25, "scale_min": 0.8, "scale_max": 1.3,
+        }
+        assert set(values) == set(_DEFAULTS)
+        assert all(values[k] != _DEFAULTS[k] for k in values)
+        path = tmp_path / "train.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        model_cfg, train_cfg = _load_train_config(str(path))
+        assert model_cfg.input_size == (48, 48, 48)
+        for k, v in values.items():
+            if k != "crop_size":
+                cfg = model_cfg if hasattr(model_cfg, k) else train_cfg
+                assert getattr(cfg, k) == v, k
+
+    def test_readme_lists_every_key_and_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Training config keys")[1].split("\n#")[0]
+        listed = {
+            k: float(re.match(r"[-+.\de]+", default).group())
+            for k, default in re.findall(r"`(\w+)`\s+\(([^)]*)\)", section)
+        }
+        assert listed == {k: default for k, (_, default) in _TRAIN_KEYS.items()}
+
+    @pytest.mark.parametrize("key,value", [
+        ("iters", -2), ("batch_size", 0), ("grad_accum", 0),
+        ("checkpoint_every", -1), ("augment", 2),
+    ])
+    def test_bad_count_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        settings = dict(base_width=4, embed_dim=16, vit_layers=1, heads=2,
+                        num_classes=2, crop_size=16, iters=2, augment=0)
+        settings[key] = value
+        text = "".join(f"{k}={v}\n" for k, v in settings.items())
+        code, _ = self._train(workspace, tmp_path, text)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.ckpt"))
+
     def _train(self, workspace, tmp_path, text):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(text)
@@ -129,6 +216,19 @@ class TestPredict(object):
         _, mask = read_nifti(out)
         assert set(np.unique(mask).tolist()) <= {0, 1, 2, 4}
         assert mask.shape == (16, 16, 16)
+
+    def test_dump_lists_the_models_classes(self, workspace, tmp_path):
+        # the workspace model has num_classes=2: labels 0 and 1 only
+        dump = tmp_path / "p.f32"
+        assert cli([
+            "predict",
+            "--models", str(workspace / "run" / "checkpoint_final.ckpt"),
+            "--input", str(workspace / "cache" / "case1.btrc"),
+            "--out", str(tmp_path / "seg.nii.gz"), "--dump-probs", str(dump),
+        ]) == 0
+        header = (tmp_path / "p.f32.hdr").read_text().splitlines()
+        assert "dims: 2 16 16 16" in header
+        assert "classes: 0 1" in header
 
     def test_deterministic_output_bytes(self, workspace, tmp_path):
         args = [

@@ -21,7 +21,7 @@ from bitrunet.model import (
     transformer_layer,
 )
 from bitrunet.tensor import Tape, Tensor, mul, tsum
-from bitrunet.training import LossConfig, loss
+from bitrunet.training import TrainConfig, loss_terms
 
 rng = np.random.default_rng(7)
 
@@ -299,7 +299,7 @@ class TestForward:
         target = rng.integers(0, cfg.num_classes, (16, 16, 16))
         with Tape() as tape:
             scores = model.forward(x)
-            tape.backward(loss(scores, target, LossConfig()))
+            tape.backward(loss_terms(scores, target, TrainConfig())[0])
         assert scores.dtype == np.float32
         wide = {n.output.dtype for n in tape.nodes} - {np.dtype(np.float32)}
         assert not wide, f"tape nodes with output dtype {wide}"

@@ -8,14 +8,10 @@ from bitrunet.gradcheck import check_gradients
 from bitrunet.model import BiTrUnetModel, ModelConfig
 from bitrunet.tensor import Tensor
 from bitrunet.training import (
-    AugmentConfig,
-    LossConfig,
-    LrSchedule,
     OptimizerState,
     TrainConfig,
     adam_step,
     augment,
-    loss,
     loss_terms,
     poly_lr,
     train_loop,
@@ -26,26 +22,26 @@ rng = np.random.default_rng(11)
 
 class TestPolyLr:
     def test_initial_value_exact(self):
-        assert poly_lr(0, LrSchedule(total_iters=1000)) == 2e-4
+        assert poly_lr(0, TrainConfig(iters=1000)) == 2e-4
 
     def test_final_value_exact(self):
-        assert poly_lr(1000, LrSchedule(total_iters=1000)) == 0.0
+        assert poly_lr(1000, TrainConfig(iters=1000)) == 0.0
 
     def test_midpoint_closed_form(self):
-        got = poly_lr(500, LrSchedule(total_iters=1000))
+        got = poly_lr(500, TrainConfig(iters=1000))
         assert got == pytest.approx(2e-4 * 0.5 ** 0.9, rel=1e-12)
         assert got == pytest.approx(1.0718e-4, rel=1e-4)
 
     def test_monotone_nonincreasing(self):
-        s = LrSchedule(total_iters=137)
+        s = TrainConfig(iters=137)
         vals = [poly_lr(i, s) for i in range(138)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            poly_lr(-1, LrSchedule(total_iters=10))
+            poly_lr(-1, TrainConfig(iters=10))
         with pytest.raises(ValueError):
-            poly_lr(11, LrSchedule(total_iters=10))
+            poly_lr(11, TrainConfig(iters=10))
 
 
 class TestAdam:
@@ -90,35 +86,47 @@ class TestAugment:
 
     def test_identity_crop(self):
         image, label = self._case()
-        cfg = AugmentConfig(crop_size=12, shift_range=(0.0, 0.0), scale_range=(1.0, 1.0))
-        out_img, out_lab = augment(image, label, cfg, np.random.default_rng(0))
+        cfg = TrainConfig(shift=0.0, scale_min=1.0, scale_max=1.0)
+        rng0 = np.random.default_rng(0)
+        out_img, out_lab = augment(image, label, (12, 12, 12), cfg, rng0)
         assert np.array_equal(out_img, image)
         assert np.array_equal(out_lab, label)
 
     def test_seeded_determinism(self):
         image, label = self._case()
-        cfg = AugmentConfig(crop_size=8)
-        a_img, a_lab = augment(image, label, cfg, np.random.default_rng(42))
-        b_img, b_lab = augment(image, label, cfg, np.random.default_rng(42))
+        cfg = TrainConfig()
+        a_img, a_lab = augment(image, label, (8, 8, 8), cfg, np.random.default_rng(42))
+        b_img, b_lab = augment(image, label, (8, 8, 8), cfg, np.random.default_rng(42))
         assert np.array_equal(a_img, b_img)
         assert np.array_equal(a_lab, b_lab)
 
     def test_label_histogram_preserved(self):
         image, label = self._case()
-        cfg = AugmentConfig(crop_size=12)  # identity crop, intensity varies
-        _, out_lab = augment(image, label, cfg, np.random.default_rng(3))
+        # identity crop, intensity varies
+        rng3 = np.random.default_rng(3)
+        _, out_lab = augment(image, label, (12, 12, 12), TrainConfig(), rng3)
         assert np.array_equal(np.bincount(out_lab.ravel()), np.bincount(label.ravel()))
 
     def test_crop_too_large(self):
         image, label = self._case(8)
         with pytest.raises(ValueError, match="crop"):
-            augment(image, label, AugmentConfig(crop_size=16), np.random.default_rng(0))
+            augment(image, label, (16, 16, 16), TrainConfig(), np.random.default_rng(0))
 
     def test_intensity_transform_applied_per_channel(self):
         image, label = self._case()
-        cfg = AugmentConfig(crop_size=12, shift_range=(0.5, 0.5), scale_range=(2.0, 2.0))
-        out_img, _ = augment(image, label, cfg, np.random.default_rng(0))
-        assert np.allclose(out_img, image * 2.0 + 0.5, atol=1e-6)
+        cfg = TrainConfig(shift=0.5, scale_min=0.5, scale_max=2.0)
+        out_img, _ = augment(image, label, (12, 12, 12), cfg, np.random.default_rng(0))
+        # replay the draws: 3 crop offsets (all 0 for an identity crop), then
+        # scale and shift per channel
+        replay = np.random.default_rng(0)
+        assert [int(replay.integers(0, 1)) for _ in range(3)] == [0, 0, 0]
+        transforms = []
+        for c in range(image.shape[0]):
+            s = replay.uniform(0.5, 2.0)
+            delta = replay.uniform(-0.5, 0.5)
+            transforms.append((s, delta))
+            assert np.allclose(out_img[c], image[c] * s + delta, atol=1e-6)
+        assert len(set(transforms)) == image.shape[0]
 
 
 class TestLoss:
@@ -127,38 +135,40 @@ class TestLoss:
         scores = np.full((1, 4, 4, 4, 4), -12.0)
         for c in range(4):
             scores[0, c][target[0] == c] = 12.0
-        total = loss(Tensor(scores), target, LossConfig())
+        total, _, _ = loss_terms(Tensor(scores), target, TrainConfig())
         assert total.item() < 0.01
 
     def test_uniform_scores_ce_is_ln4(self):
         target = rng.integers(0, 4, (1, 2, 2, 2))
         scores = Tensor(np.zeros((1, 4, 2, 2, 2)))
-        _, ce, _ = loss_terms(scores, target, LossConfig())
+        _, ce, _ = loss_terms(scores, target, TrainConfig())
         assert ce.item() == pytest.approx(np.log(4.0), rel=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         target = rng.integers(0, 3, (1, 2, 2, 2))
         scores = Tensor(rng.standard_normal((1, 3, 2, 2, 2)), requires_grad=True)
-        cfg = LossConfig(num_classes=3)
-        assert check_gradients([scores], lambda: loss(scores, target, cfg), h=1e-5) < 1e-4
+        cfg = TrainConfig()
+        assert check_gradients(
+            [scores], lambda: loss_terms(scores, target, cfg)[0], h=1e-5
+        ) < 1e-4
 
     def test_out_of_range_label_rejected(self):
         scores = Tensor(np.zeros((1, 3, 2, 2, 2)))
         bad = np.full((1, 2, 2, 2), 7)
         with pytest.raises(ValueError, match="outside"):
-            loss(scores, bad, LossConfig(num_classes=3))
+            loss_terms(scores, bad, TrainConfig())
 
     def test_loss_nonnegative(self):
         for _ in range(10):
             target = rng.integers(0, 4, (1, 2, 2, 2))
             scores = Tensor(rng.standard_normal((1, 4, 2, 2, 2)) * 3)
-            assert loss(scores, target, LossConfig()).item() >= 0.0
+            assert loss_terms(scores, target, TrainConfig())[0].item() >= 0.0
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            LossConfig(w_ce=0.0, w_dice=0.0)
+            TrainConfig(w_ce=0.0, w_dice=0.0)
         with pytest.raises(ValueError):
-            LossConfig(w_ce=-1.0)
+            TrainConfig(w_ce=-1.0)
 
 
 def _sphere_dataset(size=16):
@@ -176,12 +186,12 @@ def _tiny_train_model(size=16, seed=0):
 class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_loop(_tiny_train_model(), [], TrainConfig(iters=1))
+            train_loop(_tiny_train_model(), [], TrainConfig(iters=1, augment=0))
 
     def test_zero_iterations_writes_initial_checkpoint_only(self, tmp_path):
         model = _tiny_train_model()
         out = tmp_path / "run"
-        history = train_loop(model, _sphere_dataset(), TrainConfig(iters=0), out_dir=out)
+        history = train_loop(model, _sphere_dataset(), TrainConfig(iters=0, augment=0), out_dir=out)
         assert history == []
         assert (out / "checkpoint_000000.ckpt").exists()
         assert not (out / "checkpoint_final.ckpt").exists()
@@ -189,7 +199,7 @@ class TestTrainLoop:
 
     def test_initial_loss_envelope(self):
         model = _tiny_train_model()
-        cfg = TrainConfig(iters=1, loss=LossConfig(num_classes=2))
+        cfg = TrainConfig(iters=1, augment=0)
         history = train_loop(model, _sphere_dataset(), cfg)
         _, _, total, ce, dice = history[0]
         assert np.log(2.0) - 1.0 < ce < np.log(2.0) + 1.0
@@ -197,7 +207,7 @@ class TestTrainLoop:
 
     def test_loss_decreases(self):
         model = _tiny_train_model()
-        cfg = TrainConfig(iters=30, loss=LossConfig(num_classes=2), seed=0)
+        cfg = TrainConfig(iters=30, augment=0, seed=0)
         history = train_loop(model, _sphere_dataset(), cfg)
         first = np.mean([h[2] for h in history[:5]])
         last = np.mean([h[2] for h in history[-5:]])
@@ -207,8 +217,7 @@ class TestTrainLoop:
         outs = []
         for run in ("a", "b"):
             model = _tiny_train_model(seed=9)
-            cfg = TrainConfig(iters=4, seed=5, loss=LossConfig(num_classes=2),
-                              augment=AugmentConfig(crop_size=16))
+            cfg = TrainConfig(iters=4, seed=5, augment=1)
             out = tmp_path / run
             train_loop(model, _sphere_dataset(), cfg, out_dir=out)
             outs.append((out / "checkpoint_final.ckpt").read_bytes())
@@ -217,7 +226,7 @@ class TestTrainLoop:
     def test_log_format(self, tmp_path):
         model = _tiny_train_model()
         out = tmp_path / "run"
-        cfg = TrainConfig(iters=3, loss=LossConfig(num_classes=2))
+        cfg = TrainConfig(iters=3, augment=0)
         train_loop(model, _sphere_dataset(), cfg, out_dir=out)
         lines = (out / "loss_log.tsv").read_text().strip().split("\n")
         assert len(lines) == 3
@@ -229,6 +238,6 @@ class TestTrainLoop:
 
     def test_gradient_accumulation_runs(self):
         model = _tiny_train_model()
-        cfg = TrainConfig(iters=2, grad_accum=2, loss=LossConfig(num_classes=2))
+        cfg = TrainConfig(iters=2, grad_accum=2, augment=0)
         history = train_loop(model, _sphere_dataset(), cfg)
         assert len(history) == 2
