@@ -97,7 +97,7 @@ def load_checkpoint(path):
         config = ModelConfig.from_text(raw_config.decode())
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad config block at byte 12: {exc}") from exc
-    model = BiTrUnetModel(config, seed=0, dtype=np.float32)
+    model = BiTrUnetModel(config, seed=None, dtype=np.float32)
     n_params = r.u32("parameter count")
     if n_params != len(model.params):
         raise CheckpointError(

@@ -120,10 +120,15 @@ def _load_train_config(path):
     unknown = sorted(set(kv) - set(_TRAIN_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    c = {
-        k: cast(kv[k]) if k in kv else default
-        for k, (cast, default) in _TRAIN_KEYS.items()
-    }
+    c = {k: default for k, (_, default) in _TRAIN_KEYS.items()}
+    for k, text in kv.items():
+        cast = _TRAIN_KEYS[k][0]
+        try:
+            c[k] = cast(text)
+        except ValueError:
+            raise ValueError(
+                f"{path}: {k}={text!r} is not a valid {cast.__name__}"
+            ) from None
     crop = c.pop("crop_size")
     train_cfg = TrainConfig(**{f.name: c.pop(f.name) for f in fields(TrainConfig)})
     return ModelConfig(input_size=(crop,) * 3, **c), train_cfg
@@ -252,6 +257,11 @@ def _cmd_train(args):
         if rec.label is None:
             raise ValueError(f"{f}: case has no label, cannot train on it")
         label = external_to_internal(rec.label).astype(np.int64)
+        if label.max() >= model_cfg.num_classes:
+            raise ValueError(
+                f"{f}: internal labels 0..{label.max()} do not fit "
+                f"num_classes={model_cfg.num_classes}"
+            )
         if not train_cfg.augment and rec.volume.data.shape[1:] != model_cfg.input_size:
             raise ValueError(
                 f"{f}: volume {rec.volume.data.shape[1:]} does not match model "
@@ -400,6 +410,31 @@ def _cmd_selftest(args):
                     worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
         return worst < 1e-10
 
+    def conv_edge_extents():
+        # single-voxel, two-voxel and mixed extents, odd extents at stride 2
+        # with and without padding, batch 2, in float64 and float32
+        cases = [((1, 1, 1), 1, 1), ((2, 2, 2), 2, 1), ((2, 3, 4), 1, 1),
+                 ((5, 7, 3), 2, 0), ((7, 3, 5), 2, 1)]
+        for spatial, stride, pad in cases:
+            x = rng.standard_normal((2, 2) + spatial)
+            w = rng.standard_normal((3, 2, 3, 3, 3))
+            ref = reference.naive_conv3d(x, w, stride, pad)
+            gy = rng.standard_normal(ref.shape)
+            lhs = float((ref * gy).sum())
+            for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
+                xd, wd, gyd = (a.astype(dtype) for a in (x, w, gy))
+                y = kernels.conv3d_forward(xd, wd, stride, pad)
+                gx = kernels.conv3d_input_grad(gyd, wd, stride, pad, spatial)
+                gw = kernels.conv3d_weight_grad(xd, gyd, stride, pad, w.shape[2:])
+                if {y.dtype, gx.dtype, gw.dtype} != {np.dtype(dtype)}:
+                    return False
+                if y.shape != ref.shape or np.abs(y - ref).max() >= tol:
+                    return False
+                for rhs in (float((x * gx).sum()), float((w * gw).sum())):
+                    if abs(lhs - rhs) / max(abs(lhs), 1e-12) >= tol:
+                        return False
+        return True
+
     def matmul_vs_naive():
         a = rng.standard_normal((4, 5))
         b = rng.standard_normal((5, 3))
@@ -496,6 +531,7 @@ def _cmd_selftest(args):
 
     run("conv3d vs naive loop oracle", conv_vs_naive)
     run("conv3d input/weight grads vs naive (adjoint)", conv_grads_vs_naive)
+    run("conv3d kernels at edge extents, strides and dtypes", conv_edge_extents)
     run("matmul vs triple loop oracle", matmul_vs_naive)
     run("transposed conv adjointness", adjointness)
     run("majority vote vs brute force", vote_oracle)

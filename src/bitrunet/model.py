@@ -112,7 +112,8 @@ def parse_key_values(text, source):
 
 
 class _Builder:
-    """Allocates named, seeded parameters into the model's registry."""
+    """Allocates named, seeded parameters into the model's registry. With
+    no ``rng`` the weights are allocated but not drawn."""
 
     def __init__(self, params, rng, dtype):
         self.params = params
@@ -126,17 +127,20 @@ class _Builder:
         self.params[name] = t
         return t
 
+    def normal(self, name, std, shape):
+        if self.rng is None:
+            return self.param(name, np.empty(shape, dtype=self.dtype))
+        return self.param(name, self.rng.normal(0.0, std, shape))
+
     def conv_weight(self, name, shape):
         fan_in = shape[1] * shape[2] * shape[3] * shape[4]
-        std = math.sqrt(2.0 / fan_in)
-        return self.param(name, self.rng.normal(0.0, std, shape))
+        return self.normal(name, math.sqrt(2.0 / fan_in), shape)
 
     def token_weight(self, name, shape):
-        return self.param(name, self.rng.normal(0.0, 0.02, shape))
+        return self.normal(name, 0.02, shape)
 
     def mlp_weight(self, name, shape):
-        std = math.sqrt(2.0 / shape[0])
-        return self.param(name, self.rng.normal(0.0, std, shape))
+        return self.normal(name, math.sqrt(2.0 / shape[0]), shape)
 
     def zeros(self, name, shape):
         return self.param(name, np.zeros(shape))
@@ -346,12 +350,17 @@ def feature_map_back(z, vit, spatial):
 
 
 class BiTrUnetModel:
-    """Full network; owns the parameter registry (name -> Tensor)."""
+    """Full network; owns the parameter registry (name -> Tensor).
+
+    ``seed=None`` draws no weights: every weight is left uninitialised for
+    the caller to overwrite, as ``load_checkpoint`` does.
+    """
 
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
         self.params = {}
-        b = _Builder(self.params, np.random.default_rng(seed), dtype)
+        rng = None if seed is None else np.random.default_rng(seed)
+        b = _Builder(self.params, rng, dtype)
         cfg = config
         w = cfg.encoder_widths  # [4C, 8C, 16C, 32C, 64C]
         g = cfg.norm_groups

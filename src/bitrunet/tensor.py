@@ -365,8 +365,10 @@ def conv3d(x, weight, bias, stride=1):
         xd, wd = x.data, weight.data
         in_spatial = x.shape[2:]
         def rule(gy):
-            _accum(x, kernels.conv3d_input_grad(gy, wd, stride, 1, in_spatial))
-            _accum(weight, kernels.conv3d_weight_grad(xd, gy, stride, 1, _KERNEL))
+            if x.requires_grad:
+                _accum(x, kernels.conv3d_input_grad(gy, wd, stride, 1, in_spatial))
+            if weight.requires_grad:
+                _accum(weight, kernels.conv3d_weight_grad(xd, gy, stride, 1, _KERNEL))
         _record((x, weight), out, rule)
     return _add_bias(out, bias)
 
@@ -392,8 +394,10 @@ def conv_transpose3d(x, weight, bias, stride=1, output_size=None):
     if _recording(x, weight):
         xd, wd = x.data, weight.data
         def rule(gy):
-            _accum(x, kernels.conv3d_forward(gy, wd, stride, 1))
-            _accum(weight, kernels.conv3d_weight_grad(gy, xd, stride, 1, _KERNEL))
+            if x.requires_grad:
+                _accum(x, kernels.conv3d_forward(gy, wd, stride, 1))
+            if weight.requires_grad:
+                _accum(weight, kernels.conv3d_weight_grad(gy, xd, stride, 1, _KERNEL))
         _record((x, weight), out, rule)
     return _add_bias(out, bias)
 

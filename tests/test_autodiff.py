@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bitrunet import kernels
 from bitrunet.gradcheck import (
     check_gradients,
     finite_difference_grad,
@@ -12,6 +13,7 @@ from bitrunet.tensor import (
     Tape,
     Tensor,
     conv3d,
+    conv_transpose3d,
     matmul,
     mul,
     relu,
@@ -101,3 +103,30 @@ class TestOpGradientSuite:
             return tsum(mul(conv3d(x, w, b, stride=2), probe))
 
         assert check_gradients([x, w, b], forward) < 1e-6
+
+
+class TestDeadConvGradients:
+    """A conv rule computes only the gradients whose operand requires one."""
+
+    @pytest.mark.parametrize("op,input_kernel", [
+        (conv3d, "conv3d_input_grad"),
+        (conv_transpose3d, "conv3d_forward"),
+    ])
+    @pytest.mark.parametrize("x_grad,w_grad", [(False, True), (True, False)])
+    def test_only_needed_gradients_are_computed(
+        self, monkeypatch, op, input_kernel, x_grad, w_grad
+    ):
+        calls = []
+        for name in (input_kernel, "conv3d_weight_grad"):
+            fn = getattr(kernels, name)
+            monkeypatch.setattr(
+                kernels, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
+            )
+        x = Tensor(rng.standard_normal((1, 2, 4, 4, 4)), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=w_grad)
+        with Tape() as tape:
+            y = op(x, w, None)
+            calls.clear()
+            tape.backward(tsum(y))
+        assert calls == [input_kernel if x_grad else "conv3d_weight_grad"]
+        assert (x.grad is not None, w.grad is not None) == (x_grad, w_grad)

@@ -107,6 +107,20 @@ class TestTrain(object):
         assert code == 2
         assert "id length at byte 8" in capsys.readouterr().err
 
+    def test_labels_beyond_num_classes_are_data_error(self, workspace, tmp_path, capsys):
+        # the sphere case has internal labels {0, 1}
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "base_width=4\nembed_dim=16\nvit_layers=1\nheads=2\n"
+            "num_classes=1\ncrop_size=16\niters=2\naugment=0\n"
+        )
+        run = tmp_path / "run"
+        code = cli(["train", "--data", str(workspace / "cache"), "--out", str(run),
+                    "--config", str(cfg)])
+        assert code == 2
+        assert str(workspace / "cache" / "case1.btrc") in capsys.readouterr().err
+        assert not run.exists() or not any(run.iterdir())
+
 
 # every train-file key with its default: a changed default changes what an
 # existing train file means
@@ -181,6 +195,16 @@ class TestTrainConfig(object):
         code = cli(["train", "--data", str(workspace / "cache"), "--out", str(run),
                     "--config", str(cfg)])
         return code, run
+
+    @pytest.mark.parametrize("key,value", [
+        ("iters", "abc"), ("base_lr", "fast"), ("crop_size", "1.5"),
+    ])
+    def test_unparsable_value_names_key_and_file(self, workspace, tmp_path, capsys, key, value):
+        code, run = self._train(workspace, tmp_path, f"{key}={value}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and str(tmp_path / "train.cfg") in err
+        assert not run.exists()
 
     def test_unknown_key_is_data_error(self, workspace, tmp_path, capsys):
         code, _ = self._train(
@@ -426,6 +450,7 @@ class TestChecks(object):
         assert "FAIL" not in out.replace("PASSED", "")
         assert "PASS  conv3d input/weight grads vs naive (adjoint)" in out
         assert "PASS  evaluate_case on crop vs full-volume metrics" in out
+        assert "PASS  conv3d kernels at edge extents, strides and dtypes" in out
 
 
 class TestUsage(object):

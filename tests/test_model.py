@@ -332,6 +332,21 @@ class TestCheckpoint:
         for name, t in model.params.items():
             assert np.array_equal(t.data, loaded.params[name].data), name
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        model = BiTrUnetModel(tiny_config(), seed=4, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(path)
+        assert list(loaded.params) == list(model.params)
+        for name, t in model.params.items():
+            assert loaded.params[name].dtype == np.float32
+            assert np.array_equal(t.data, loaded.params[name].data), name
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_checkpoint("/nonexistent/path/model.ckpt")

@@ -228,6 +228,32 @@ class TestKernelBackends:
             for rhs in (float((x * gx).sum()), float((w * gw).sum())):
                 assert abs(lhs - rhs) / max(abs(lhs), 1e-12) < 1e-10
 
+    # extents of one and two voxels, mixed extents, odd extents at stride 2
+    # with and without padding, a batch of 2; float64 keeps the 1e-10 bound
+    # above, float32 gets the 1e-4 bound of the op-gradient suite
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("spatial,stride,pad", [
+        ((1, 1, 1), 1, 1), ((2, 2, 2), 1, 1), ((2, 3, 4), 1, 1),
+        ((1, 1, 1), 2, 1), ((2, 2, 2), 2, 1), ((2, 3, 4), 2, 1),
+        ((5, 7, 3), 2, 0), ((5, 7, 3), 2, 1), ((3, 5, 9), 2, 0), ((7, 3, 5), 2, 1),
+    ])
+    def test_edge_extents(self, spatial, stride, pad, dtype, tol):
+        local = np.random.default_rng(5)
+        x = local.standard_normal((2, 3) + spatial)
+        w = local.standard_normal((4, 3, 3, 3, 3))
+        ref = reference.naive_conv3d(x, w, stride, pad)
+        y = kernels.conv3d_forward(x.astype(dtype), w.astype(dtype), stride, pad)
+        assert (y.shape, y.dtype) == (ref.shape, dtype)
+        assert np.abs(y - ref).max() < tol
+        gy = local.standard_normal(ref.shape)
+        lhs = float((ref * gy).sum())
+        gx = kernels.conv3d_input_grad(gy.astype(dtype), w.astype(dtype), stride, pad, spatial)
+        gw = kernels.conv3d_weight_grad(x.astype(dtype), gy.astype(dtype), stride, pad, (3, 3, 3))
+        assert (gx.shape, gx.dtype) == (x.shape, dtype)
+        assert (gw.shape, gw.dtype) == (w.shape, dtype)
+        for rhs in (float((x * gx).sum()), float((w * gw).sum())):
+            assert abs(lhs - rhs) / max(abs(lhs), 1e-12) < tol
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_float32_in_float32_out(self, stride):
         x = rng.standard_normal((2, 3, 6, 5, 7)).astype(np.float32)
