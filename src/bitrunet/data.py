@@ -8,7 +8,7 @@ Cache file layout (little-endian, trailing CRC32 of everything before it):
     id_len   u32, id utf-8
     dims     u32 * 4 (C, H, W, D)
     spacing  f32 * 3
-    flags    u8 (bit 0: label present)
+    flags    u8 (bit 0: label present; the other bits are 0)
     image    f32 * C*H*W*D, C order
     label    u8 * H*W*D (external label values), if present
     crc      u32, CRC32 of all preceding bytes
@@ -137,7 +137,9 @@ def cache_case(record, path):
 
 
 def load_case(path):
-    """Read a cache file back; verifies magic, version and CRC32."""
+    """Read a cache file back; verifies magic, version and CRC32, then that
+    the case id is UTF-8, every dimension and spacing is positive (spacing
+    finite too) and no unknown flag bit is set."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 4 or buf[:4] != CACHE_MAGIC:
@@ -156,10 +158,33 @@ def load_case(path):
         raise CacheError(
             f"{path}: version {version} at byte 4, expected {CACHE_VERSION}"
         )
-    case_id = r.take(r.u32("id length"), "case id").decode()
+    id_len = r.u32("id length")
+    id_at = r.pos
+    try:
+        case_id = r.take(id_len, "case id").decode()
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"{path}: case id at byte {id_at} is not UTF-8 ({exc.reason})") from exc
+    dims_at = r.pos
     c, h, w, d = r.unpack("<4I", "dims")
+    if 0 in (c, h, w, d):
+        raise CacheError(
+            f"{path}: dims {c} x {h} x {w} x {d} at byte {dims_at}; "
+            f"every dimension must be positive"
+        )
+    spacing_at = r.pos
     spacing = r.unpack("<3f", "spacing")
+    for i, v in enumerate(spacing):
+        if not (math.isfinite(v) and v > 0):
+            raise CacheError(
+                f"{path}: spacing[{i}] = {v:g} at byte {spacing_at + 4 * i}; "
+                f"voxel spacing must be positive and finite"
+            )
     (flags,) = r.unpack("<B", "flags")
+    if flags > 1:
+        raise CacheError(
+            f"{path}: flags {flags:#04x} at byte {r.pos - 1}; only bit 0 (label present) "
+            f"is defined"
+        )
     image = np.frombuffer(r.take(4 * c * h * w * d, "image payload"), dtype="<f4")
     image = image.reshape(c, h, w, d).copy()
     label = None

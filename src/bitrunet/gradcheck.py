@@ -9,6 +9,7 @@ instances of each op and reports the worst relative error per op; the
 import numpy as np
 
 from . import tensor as T
+from .model import group_norm
 
 
 def finite_difference_grad(f, x, h=1e-4):
@@ -149,6 +150,15 @@ def _suite_builders():
         p = _probe(rng, (3, 6))
         return [x, g, b], lambda: p(T.layer_norm(x, g, b))
 
+    def group_norm_builder(channels, groups):
+        def build(rng):
+            x = _rand(rng, (2, channels, 2, 3, 2))
+            g = T.Tensor(rng.uniform(0.5, 1.5, (channels,)), requires_grad=True)
+            b = _rand(rng, (channels,))
+            p = _probe(rng, x.shape)
+            return [x, g, b], lambda: p(group_norm(x, g, b, groups))
+        return build
+
     def b_conv3d_s1(rng):
         x = _rand(rng, (1, 2, 4, 3, 5))
         w = _rand(rng, (3, 2, 3, 3, 3), -0.5, 0.5)
@@ -221,6 +231,9 @@ def _suite_builders():
         "log": b_log,
         "softmax": b_softmax,
         "layer_norm": b_layer_norm,
+        # 2 groups of 2 channels; a cap of 4 on 6 channels falls back to 3 groups
+        "group_norm": group_norm_builder(4, 2),
+        "group_norm_uneven_cap": group_norm_builder(6, 4),
         "conv3d_stride1": b_conv3d_s1,
         "conv3d_stride2": b_conv3d_s2,
         "conv_transpose3d_stride2": b_conv_transpose_s2,

@@ -23,6 +23,12 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _accum,
+    _norm_input_grad,
+    _normalize,
+    _record,
+    _recording,
+    _unbroadcast,
     add,
     concat,
     conv3d,
@@ -150,19 +156,29 @@ class _Builder:
 
 
 def group_norm(x, gamma, beta, groups, eps=1e-5):
-    """Group normalization over (C/G, spatial) slabs plus per-channel affine."""
+    """Group normalization over (C/G, spatial) slabs plus per-channel affine,
+    recorded as one tape op (Wu & He 2018)."""
     n, c = x.shape[:2]
     g = min(groups, c)
     while c % g:
         g -= 1
-    slab = (c // g) * x.shape[2] * x.shape[3] * x.shape[4]
-    unit = Tensor(np.ones(slab, dtype=x.dtype))
-    zero = Tensor(np.zeros(slab, dtype=x.dtype))
-    y = reshape(x, (n, g, slab))
-    y = layer_norm(y, unit, zero, eps)
-    y = reshape(y, x.shape)
-    y = mul(y, reshape(gamma, (c, 1, 1, 1)))
-    return add(y, reshape(beta, (c, 1, 1, 1)))
+    grouped, per_channel = (n, g, -1), (c, 1, 1, 1)
+    xhat, inv = _normalize(x.data.reshape(grouped), eps)
+    xhat = xhat.reshape(x.shape)
+    gd = gamma.data.reshape(per_channel)
+    out = Tensor(xhat * gd + beta.data.reshape(per_channel))
+    if _recording(x, gamma, beta):
+        def rule(gy):
+            if gamma.requires_grad:
+                _accum(gamma, _unbroadcast(gy * xhat, per_channel).reshape(c))
+            if beta.requires_grad:
+                _accum(beta, _unbroadcast(gy, per_channel).reshape(c))
+            if x.requires_grad:
+                dxh = (gy * gd).reshape(grouped)
+                dx = _norm_input_grad(dxh, xhat.reshape(grouped), inv)
+                _accum(x, dx.reshape(x.shape))
+        _record((x, gamma, beta), out, rule)
+    return out
 
 
 class ConvBlock:

@@ -6,8 +6,13 @@ active and any input requires a gradient, the op appends a node holding the
 backward rule. ``Tape.backward(loss)`` walks the tape in exact reverse
 recording order, accumulating into ``.grad``.
 
-Tape lifetime is one forward pass: enter a fresh ``Tape`` context for each
-training step, run inference with no tape at all.
+Backward consumes the tape: once a node's rule has run, its slot in
+``tape.nodes`` becomes ``None`` and its output's ``.grad`` is cleared, so
+each activation and intermediate gradient is freed as soon as nothing
+upstream needs it. Only leaf gradients (the parameters') survive, and a
+second ``backward`` on the same tape raises. Tape lifetime is one forward
+pass: enter a fresh ``Tape`` context for each training step, run inference
+with no tape at all.
 """
 
 import math
@@ -95,17 +100,23 @@ class Tape:
         return False
 
     def backward(self, loss):
-        """Populate grads of everything the scalar ``loss`` depends on."""
+        """Populate the leaf grads of everything the scalar ``loss`` depends
+        on, freeing each node as soon as its rule has run."""
         if loss.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
+        if None in self.nodes:
+            raise RuntimeError("backward already ran on this tape")
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            node = nodes[i]
+            nodes[i] = None
             gy = node.output.grad
-            if gy is None:
-                continue
-            node.rule(gy)
+            if gy is not None:
+                node.output.grad = None
+                node.rule(gy)
 
 
 def _recording(*tensors):
@@ -152,8 +163,10 @@ def add(a, b):
     out = Tensor(a.data + b.data)
     if _recording(a, b):
         def rule(gy):
-            _accum(a, _unbroadcast(gy, a.shape))
-            _accum(b, _unbroadcast(gy, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(gy, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(gy, b.shape))
         _record((a, b), out, rule)
     return out
 
@@ -163,8 +176,10 @@ def sub(a, b):
     out = Tensor(a.data - b.data)
     if _recording(a, b):
         def rule(gy):
-            _accum(a, _unbroadcast(gy, a.shape))
-            _accum(b, _unbroadcast(-gy, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(gy, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(-gy, b.shape))
         _record((a, b), out, rule)
     return out
 
@@ -175,8 +190,10 @@ def mul(a, b):
     if _recording(a, b):
         ad, bd = a.data, b.data
         def rule(gy):
-            _accum(a, _unbroadcast(gy * bd, a.shape))
-            _accum(b, _unbroadcast(gy * ad, b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(gy * bd, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(gy * ad, b.shape))
         _record((a, b), out, rule)
     return out
 
@@ -187,8 +204,10 @@ def div(a, b):
     if _recording(a, b):
         ad, bd = a.data, b.data
         def rule(gy):
-            _accum(a, _unbroadcast(gy / bd, a.shape))
-            _accum(b, _unbroadcast(-gy * ad / (bd * bd), b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(gy / bd, a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(-gy * ad / (bd * bd), b.shape))
         _record((a, b), out, rule)
     return out
 
@@ -207,8 +226,10 @@ def matmul(a, b):
     if _recording(a, b):
         ad, bd = a.data, b.data
         def rule(gy):
-            _accum(a, _unbroadcast(np.matmul(gy, bd.swapaxes(-1, -2)), a.shape))
-            _accum(b, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), gy), b.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(np.matmul(gy, bd.swapaxes(-1, -2)), a.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), gy), b.shape))
         _record((a, b), out, rule)
     return out
 
@@ -293,6 +314,26 @@ def softmax(x, axis):
 # normalization
 # ---------------------------------------------------------------------------
 
+def _normalize(x, eps):
+    """(x - mean) / sqrt(var + eps) over the last axis; returns the result
+    and the 1 / sqrt(var + eps) factor."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def _norm_input_grad(dxh, xhat, inv):
+    """Input gradient of ``_normalize`` given the gradient ``dxh`` of its
+    output ``xhat``."""
+    return inv * (
+        dxh
+        - dxh.mean(axis=-1, keepdims=True)
+        - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     m = x.shape[-1]
@@ -301,27 +342,17 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             f"layer_norm affine params must have shape ({m},), "
             f"got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat, inv = _normalize(x.data, eps)
     out = Tensor(gamma.data * xhat + beta.data)
     if _recording(x, gamma, beta):
         lead = tuple(range(x.ndim - 1))
         def rule(gy):
-            _accum(gamma, (gy * xhat).sum(axis=lead))
-            _accum(beta, gy.sum(axis=lead))
-            dxh = gy * gamma.data
-            _accum(
-                x,
-                inv
-                * (
-                    dxh
-                    - dxh.mean(axis=-1, keepdims=True)
-                    - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-                ),
-            )
+            if gamma.requires_grad:
+                _accum(gamma, (gy * xhat).sum(axis=lead))
+            if beta.requires_grad:
+                _accum(beta, gy.sum(axis=lead))
+            if x.requires_grad:
+                _accum(x, _norm_input_grad(gy * gamma.data, xhat, inv))
         _record((x, gamma, beta), out, rule)
     return out
 
@@ -350,18 +381,25 @@ def _check_conv(x, weight, cin_axis, opname):
             raise ValueError(f"{opname}: spatial axis {ax} has zero size")
 
 
-def _add_bias(out, bias):
-    if bias is None:
-        return out
-    return add(out, reshape(bias, (out.shape[1], 1, 1, 1)))
+def _with_bias(y, bias):
+    """Add the per-channel ``bias`` (Cout,) or None to the fresh conv output
+    array ``y`` in place."""
+    if bias is not None:
+        y += bias.data.reshape(-1, 1, 1, 1)
+    return y
+
+
+def _accum_bias(bias, gy):
+    if bias is not None and bias.requires_grad:
+        _accum(bias, _unbroadcast(gy, (gy.shape[1], 1, 1, 1)).reshape(-1))
 
 
 def conv3d(x, weight, bias, stride=1):
     """3x3x3 convolution with zero padding 1. Weight (Cout, Cin, 3, 3, 3),
     bias (Cout,) or None."""
     _check_conv(x, weight, 1, "conv3d")
-    out = Tensor(kernels.conv3d_forward(x.data, weight.data, stride, 1))
-    if _recording(x, weight):
+    out = Tensor(_with_bias(kernels.conv3d_forward(x.data, weight.data, stride, 1), bias))
+    if _recording(x, weight, bias):
         xd, wd = x.data, weight.data
         in_spatial = x.shape[2:]
         def rule(gy):
@@ -369,8 +407,9 @@ def conv3d(x, weight, bias, stride=1):
                 _accum(x, kernels.conv3d_input_grad(gy, wd, stride, 1, in_spatial))
             if weight.requires_grad:
                 _accum(weight, kernels.conv3d_weight_grad(xd, gy, stride, 1, _KERNEL))
-        _record((x, weight), out, rule)
-    return _add_bias(out, bias)
+            _accum_bias(bias, gy)
+        _record((x, weight, bias), out, rule)
+    return out
 
 
 def conv_transpose3d(x, weight, bias, stride=1, output_size=None):
@@ -390,16 +429,19 @@ def conv_transpose3d(x, weight, bias, stride=1, output_size=None):
                 f"conv_transpose3d: output size {m} on spatial axis {ax + 2} "
                 f"is inconsistent with input size {n}"
             )
-    out = Tensor(kernels.conv3d_input_grad(x.data, weight.data, stride, 1, output_size))
-    if _recording(x, weight):
+    out = Tensor(_with_bias(
+        kernels.conv3d_input_grad(x.data, weight.data, stride, 1, output_size), bias
+    ))
+    if _recording(x, weight, bias):
         xd, wd = x.data, weight.data
         def rule(gy):
             if x.requires_grad:
                 _accum(x, kernels.conv3d_forward(gy, wd, stride, 1))
             if weight.requires_grad:
                 _accum(weight, kernels.conv3d_weight_grad(gy, xd, stride, 1, _KERNEL))
-        _record((x, weight), out, rule)
-    return _add_bias(out, bias)
+            _accum_bias(bias, gy)
+        _record((x, weight, bias), out, rule)
+    return out
 
 
 # ---------------------------------------------------------------------------

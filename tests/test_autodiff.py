@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bitrunet import kernels
+from bitrunet import tensor as T
 from bitrunet.gradcheck import (
     check_gradients,
     finite_difference_grad,
@@ -12,12 +13,15 @@ from bitrunet.gradcheck import (
 from bitrunet.tensor import (
     Tape,
     Tensor,
+    add,
     conv3d,
     conv_transpose3d,
+    div,
     matmul,
     mul,
     relu,
     sigmoid,
+    sub,
     tsum,
 )
 
@@ -54,6 +58,26 @@ class TestBackwardBasics:
         with Tape() as tape:
             tape.backward(tsum(mul(x, x)))  # d/dx x^2 = 2x
         assert np.allclose(x.grad, [4.0])
+
+    def test_backward_consumes_the_tape(self):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        with Tape() as tape:
+            y = mul(x, x)
+            loss = tsum(y)
+            tape.backward(loss)
+        assert len(tape.nodes) == 2 and tape.nodes == [None, None]
+        assert y.grad is None and loss.grad is None
+        assert np.allclose(x.grad, 2.0 * x.data)
+
+    def test_second_backward_on_a_spent_tape_raises(self):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(mul(x, x))
+            tape.backward(loss)
+            first = x.grad.copy()
+            with pytest.raises(RuntimeError, match="backward already ran on this tape"):
+                tape.backward(loss)
+        assert np.array_equal(x.grad, first)
 
     def test_no_recording_without_tape(self):
         x = Tensor(rng.standard_normal(3), requires_grad=True)
@@ -103,6 +127,26 @@ class TestOpGradientSuite:
             return tsum(mul(conv3d(x, w, b, stride=2), probe))
 
         assert check_gradients([x, w, b], forward) < 1e-6
+
+
+class TestDeadGradients:
+    """A binary op's rule computes no gradient for an operand that needs none."""
+
+    @pytest.mark.parametrize("op", [add, sub, mul, div, matmul])
+    @pytest.mark.parametrize("needs", [(True, False), (False, True)])
+    def test_only_needed_operands_get_a_gradient_expression(self, monkeypatch, op, needs):
+        shapes = []
+        unbroadcast = T._unbroadcast
+        monkeypatch.setattr(
+            T, "_unbroadcast", lambda g, shape: shapes.append(shape) or unbroadcast(g, shape)
+        )
+        b_shape = (4, 2) if op is matmul else (1, 4)
+        a = Tensor(rng.uniform(0.5, 1.5, (3, 4)), requires_grad=needs[0])
+        b = Tensor(rng.uniform(0.5, 1.5, b_shape), requires_grad=needs[1])
+        with Tape() as tape:
+            tape.backward(tsum(op(a, b)))
+        assert shapes == [(a.shape, b_shape)[needs.index(True)]]
+        assert (a.grad is not None, b.grad is not None) == needs
 
 
 class TestDeadConvGradients:

@@ -1,5 +1,7 @@
 """Architecture behavior: attention blocks, token embedding, forward
-contract, checkpointing."""
+contract, tape memory, checkpointing."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from bitrunet.model import (
     parameter_count,
     transformer_layer,
 )
-from bitrunet.tensor import Tape, Tensor, mul, tsum
+from bitrunet.tensor import Tape, Tensor, add, layer_norm, mul, reshape, tsum
 from bitrunet.training import TrainConfig, loss_terms
 
 rng = np.random.default_rng(7)
@@ -248,6 +250,38 @@ class TestGroupNorm:
         assert np.abs(grouped.mean(axis=-1)).max() < 1e-6
         assert np.abs(grouped.var(axis=-1) - 1.0).max() < 1e-3
 
+    @staticmethod
+    def _composed(x, gamma, beta, g):
+        # reshape -> layer_norm with a unit affine -> reshape -> scale -> shift
+        n, c = x.shape[:2]
+        slab = x.size // (n * g)
+        y = reshape(x, (n, g, slab))
+        y = layer_norm(y, Tensor(np.ones(slab, x.dtype)), Tensor(np.zeros(slab, x.dtype)))
+        y = mul(reshape(y, x.shape), reshape(gamma, (c, 1, 1, 1)))
+        return add(y, reshape(beta, (c, 1, 1, 1)))
+
+    @pytest.mark.parametrize("channels,cap,groups", [(8, 4, 4), (6, 4, 3), (16, 8, 8)])
+    def test_one_op_equals_the_composition_bit_for_bit(self, channels, cap, groups):
+        data = rng.standard_normal((2, channels, 4, 3, 5)).astype(np.float32)
+        affine = rng.uniform(0.5, 1.5, (2, channels)).astype(np.float32)
+        probe = Tensor(rng.standard_normal(data.shape).astype(np.float32))
+        runs = []
+        for norm in (lambda x, gm, bt: group_norm(x, gm, bt, cap),
+                     lambda x, gm, bt: self._composed(x, gm, bt, groups)):
+            x = Tensor(data.copy(), requires_grad=True)
+            gamma = Tensor(affine[0].copy(), requires_grad=True)
+            beta = Tensor(affine[1].copy(), requires_grad=True)
+            with Tape() as tape:
+                y = norm(x, gamma, beta)
+                nodes = len(tape.nodes)
+                tape.backward(tsum(mul(y, probe)))
+            runs.append((nodes, y.data, x.grad, gamma.grad, beta.grad))
+        fused, composed = runs
+        assert (fused[0], composed[0]) == (1, 7)
+        for a, b in zip(fused[1:], composed[1:]):
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b)
+
 
 class TestForward:
     def test_shape_contract_32(self):
@@ -299,9 +333,12 @@ class TestForward:
         target = rng.integers(0, cfg.num_classes, (16, 16, 16))
         with Tape() as tape:
             scores = model.forward(x)
-            tape.backward(loss_terms(scores, target, TrainConfig())[0])
+            loss = loss_terms(scores, target, TrainConfig())[0]
+            # backward frees the nodes, so read their dtypes first
+            dtypes = {n.output.dtype for n in tape.nodes}
+            tape.backward(loss)
         assert scores.dtype == np.float32
-        wide = {n.output.dtype for n in tape.nodes} - {np.dtype(np.float32)}
+        wide = dtypes - {np.dtype(np.float32)}
         assert not wide, f"tape nodes with output dtype {wide}"
         for name, p in model.params.items():
             assert p.grad is not None and p.grad.dtype == np.float32, name
@@ -310,6 +347,40 @@ class TestForward:
         model = BiTrUnetModel(tiny_config(), seed=0, dtype=np.float64)
         x = Tensor(np.random.default_rng(5).standard_normal((1, 2, 16, 16, 16)))
         assert check_model_gradients(model, x, samples=15, seed=3) < 1e-3
+
+
+class TestTapeMemory:
+    """Backward frees each activation and intermediate gradient as it goes."""
+
+    def _step(self):
+        cfg = tiny_config()
+        model = BiTrUnetModel(cfg, seed=0, dtype=np.float32)
+        x = Tensor(rng.standard_normal((1, 2, 16, 16, 16)).astype(np.float32))
+        target = rng.integers(0, cfg.num_classes, (16, 16, 16))
+        tape = Tape()
+        with tape:
+            loss = loss_terms(model.forward(x), target, TrainConfig())[0]
+        return model, tape, loss
+
+    def test_activations_are_freed_while_the_tape_lives(self):
+        model, tape, loss = self._step()
+        recorded = len(tape.nodes)
+        # the arrays of the graph: every node output except the loss itself
+        arrays = [weakref.ref(n.output.data) for n in tape.nodes if n.output is not loss]
+        assert all(ref() is not None for ref in arrays)
+        tape.backward(loss)
+        assert len(tape.nodes) == recorded
+        assert all(node is None for node in tape.nodes)
+        alive = sum(ref() is not None for ref in arrays)
+        assert alive == 0, f"{alive} of {len(arrays)} activations outlived backward"
+
+    def test_only_parameter_gradients_survive(self):
+        model, tape, loss = self._step()
+        outputs = [n.output for n in tape.nodes]
+        tape.backward(loss)
+        assert all(t.grad is None for t in outputs)
+        for name, p in model.params.items():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
 
 
 class TestCheckpoint:

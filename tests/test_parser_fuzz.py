@@ -1,14 +1,17 @@
-"""Corrupted inputs to the checkpoint and probability-dump parsers: each
-either loads or fails with its own typed error (CLI exit code 2), never
-with a stray exception."""
+"""Corrupted inputs to the checkpoint, case-cache and probability-dump
+parsers: each either loads or fails with its own typed error (CLI exit
+code 2), never with a stray exception."""
 
+import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from bitrunet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from bitrunet.cli import cli
+from bitrunet.data import CacheError, CaseRecord, Volume4D, cache_case, load_case
 from bitrunet.model import BiTrUnetModel, ModelConfig
 from bitrunet.nifti import read_nifti
 
@@ -90,6 +93,108 @@ class TestCheckpointFuzz:
         bad = buf[:8] + struct.pack("<I", len(config)) + config + buf[header_end - 4 :]
         with pytest.raises(CheckpointError, match=f"bad config block.*{key}"):
             load_checkpoint(_write(tmp_path / "bad.ckpt", bad))
+
+
+def _with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.fixture(scope="module")
+def case_cache(tmp_path_factory):
+    """(file bytes, start offset of every field of the body, then its end)."""
+    rng = np.random.default_rng(8)
+    record = CaseRecord(
+        case_id="case-ö",
+        volume=Volume4D(rng.standard_normal((2, 3, 2, 2)), spacing=(1.0, 0.5, 2.0)),
+        label=rng.integers(0, 3, (3, 2, 2)),
+    )
+    path = tmp_path_factory.mktemp("cache") / "small.btrc"
+    cache_case(record, path)
+    buf = path.read_bytes()
+    id_len = len(record.case_id.encode())
+    # magic, version, id length, id, dims, spacing, flags, image, label
+    sizes = (4, 4, 4, id_len, 16, 12, 1, 4 * 2 * 3 * 2 * 2, 3 * 2 * 2)
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + size)
+    assert starts[-1] == len(buf) - 4
+    return buf, starts
+
+
+class TestCaseCacheFuzz:
+    def test_truncations(self, case_cache, tmp_path):
+        # Cut at every field boundary and at the first and last byte inside
+        # each field, once with the CRC32 of the cut body appended (the
+        # reader must name the truncation) and once without (the stored
+        # CRC32 no longer matches).
+        buf, starts = case_cache
+        body = buf[:-4]
+        path = tmp_path / "bad.btrc"
+        cuts = set()
+        for lo, hi in zip(starts, starts[1:]):
+            cuts |= {lo, lo + 1, hi - 1}
+        for cut in sorted(cuts):
+            expected = "bad magic" if cut < 4 else "truncated"
+            with pytest.raises(CacheError, match=expected):
+                load_case(_write(path, _with_crc(body[:cut])))
+            with pytest.raises(CacheError):
+                load_case(_write(path, buf[:cut]))
+
+    def test_bit_flips(self, case_cache, tmp_path):
+        # Every bit of every header byte and one bit of every payload byte
+        # (the bit cycling with the offset). With the CRC32 recomputed each
+        # file either loads a well-formed case or raises CacheError; with
+        # the stored CRC32 kept every flip is caught.
+        buf, starts = case_cache
+        body = buf[:-4]
+        header_end = starts[7]
+        flips = [(at, bit) for at in range(header_end) for bit in range(8)]
+        flips += [(at, at % 8) for at in range(header_end, len(body))]
+        path = tmp_path / "bad.btrc"
+        loaded = 0
+        for at, bit in flips:
+            bad = bytearray(body)
+            bad[at] ^= 1 << bit
+            try:
+                rec = load_case(_write(path, _with_crc(bytes(bad))))
+            except CacheError:
+                pass
+            else:
+                loaded += 1
+                assert min(rec.volume.data.shape) > 0
+                assert all(math.isfinite(v) and v > 0 for v in rec.volume.spacing)
+            with pytest.raises(CacheError):
+                load_case(_write(path, bytes(bad) + buf[-4:]))
+        assert loaded > 0
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("case id", b"case-\xff\xfe", "case id at byte 12 is not UTF-8"),
+        ("dims", struct.pack("<4I", 2, 3, 0, 2), "dims 2 x 3 x 0 x 2 at byte 19"),
+        ("spacing", struct.pack("<3f", -1.0, 0.5, 2.0), r"spacing\[0\] = -1 at byte 35"),
+        ("spacing", struct.pack("<3f", 1.0, math.nan, 2.0), r"spacing\[1\] = nan at byte 39"),
+        ("spacing", struct.pack("<3f", 1.0, 0.5, 0.0), r"spacing\[2\] = 0 at byte 43"),
+        ("flags", b"\x03", "flags 0x03 at byte 47"),
+    ], ids=["non-utf8-id", "zero-dim", "negative-spacing", "nan-spacing", "zero-spacing",
+            "unknown-flag"])
+    def test_bad_field_with_valid_crc_is_cache_error(
+        self, case_cache, checkpoint, tmp_path, capsys, field, value, message
+    ):
+        buf, starts = case_cache
+        field_at = {"case id": 3, "dims": 4, "spacing": 5, "flags": 6}[field]
+        lo, hi = starts[field_at], starts[field_at + 1]
+        assert len(value) == hi - lo
+        body = buf[:lo] + value + buf[hi:-4]
+        if field == "dims":
+            body = body[: starts[7]]  # no payload for an empty volume
+        path = _write(tmp_path / "bad.btrc", _with_crc(body))
+        with pytest.raises(CacheError, match=message):
+            load_case(path)
+        ckpt = _write(tmp_path / "small.ckpt", checkpoint[0])
+        out = tmp_path / "mask.nii.gz"
+        assert cli(["predict", "--models", str(ckpt), "--input", str(path),
+                    "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
 
 
 GOOD_SIDECAR = (
