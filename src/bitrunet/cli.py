@@ -314,28 +314,40 @@ def _cmd_ensemble(args):
 
 def _cmd_evaluate(args):
     def mask_files(d):
-        return {
-            f: os.path.join(d, f)
-            for f in os.listdir(d)
-            if f.endswith(".nii") or f.endswith(".nii.gz")
-        }
+        """Case id -> path of each .nii / .nii.gz file in ``d``; the id is
+        the name without that suffix, and two files with one id are an
+        error."""
+        files = {}
+        for f in sorted(os.listdir(d)):
+            for suffix in (".nii.gz", ".nii"):
+                if f.endswith(suffix):
+                    case_id = f[: -len(suffix)]
+                    if case_id in files:
+                        raise ValueError(
+                            f"{files[case_id]} and {os.path.join(d, f)} both "
+                            f"give case id {case_id!r}"
+                        )
+                    files[case_id] = os.path.join(d, f)
+                    break
+        return files
 
     preds = mask_files(args.pred)
     truths = mask_files(args.truth)
     common = sorted(set(preds) & set(truths))
     if not common:
         raise ValueError(
-            f"no matching mask filenames between {args.pred} and {args.truth}"
+            f"no case id in both {args.pred} and {args.truth}"
         )
     results = {}
-    for name in common:
-        pred_hdr, pred = read_nifti(preds[name])
-        truth_hdr, truth = read_nifti(truths[name])
-        check_same_spacing(preds[name], pred_hdr.spacing, truths[name], truth_hdr.spacing)
-        case_id = name.replace(".nii.gz", "").replace(".nii", "")
+    for case_id in common:
+        pred_hdr, pred = read_nifti(preds[case_id])
+        truth_hdr, truth = read_nifti(truths[case_id])
+        check_same_spacing(
+            preds[case_id], pred_hdr.spacing, truths[case_id], truth_hdr.spacing
+        )
         results[case_id] = evaluate_case(
             np.asarray(pred), np.asarray(truth), spacing=pred_hdr.spacing,
-            sources=(preds[name], truths[name]),
+            sources=(preds[case_id], truths[case_id]),
         )
     report = format_report(results)
     if args.out:
@@ -473,11 +485,20 @@ def _cmd_selftest(args):
         return True
 
     def hd95_oracle():
-        for _ in range(10):
-            a = rng.random((6, 6, 6)) < 0.2
-            b = rng.random((6, 6, 6)) < 0.2
-            if abs(hd95(a, b) - reference.brute_force_hd95(a, b)) > 1e-9:
-                return False
+        # random masks, then boxes touching opposite faces of the volume
+        pairs = [(rng.random((6, 6, 6)) < 0.2, rng.random((6, 6, 6)) < 0.2)
+                 for _ in range(10)]
+        for axis in range(3):
+            a = np.zeros((6, 6, 6), dtype=bool)
+            b = np.zeros((6, 6, 6), dtype=bool)
+            a[:2, 1:4, 2:5] = True
+            b[3:, 2:5, 1:3] = True
+            pairs.append((np.moveaxis(a, 0, axis), np.moveaxis(b, 0, axis)))
+        for spacing in ((1.0, 1.0, 1.0), (1.5, 1.0, 0.5)):
+            for a, b in pairs:
+                ref = reference.brute_force_hd95(a, b, spacing)
+                if abs(hd95(a, b, spacing) - ref) > 1e-9:
+                    return False
         return True
 
     def crop_vs_full():

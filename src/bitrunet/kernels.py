@@ -36,8 +36,9 @@ The primitives:
   channel-transposed; each phase is then written into the result once.
 
 Conventions: input (N, Cin, H, W, D), weight (Cout, Cin, kh, kw, kd),
-output (N, Cout, H', W', D'), all C-contiguous. No bias here; bias-add is a
-separate tape op.
+output (N, Cout, H', W', D'), all C-contiguous. The kernels take no bias:
+the tape ops ``tensor.conv3d`` and ``tensor.conv_transpose3d`` add it in
+place to the kernel's output and take its gradient in their own rule.
 """
 
 import numpy as np

@@ -8,11 +8,18 @@ neighbors background, or lying on the volume boundary. HD95 pools the
 nearest-surface distances from both directions into one set and takes the
 95th percentile.
 
-``evaluate_case`` scores every region on the joint bounding box of the two
-masks' nonzero voxels, and adds the voxels outside it to the true negatives.
-This is exact: outside the box both masks are background, so the erosion
-marks the same surface voxels, and all of them lie inside the box, so every
-nearest-surface distance is the same.
+Cropping to a box that holds every foreground voxel of both masks changes
+no result: outside the box both masks are background, so the erosion marks
+the same surface voxels, and all of them lie inside the box, so every
+nearest-surface distance is the same. ``evaluate_case`` scores every
+region on the joint box of the two masks' nonzero voxels and adds the
+voxels outside it to the true negatives; ``hd95`` crops again, to the box
+of its own region's two masks.
+
+``hd95`` finds each surface voxel's nearest surface voxel of the other
+mask with a k-d tree query over the surface voxels' physical coordinates
+(Bentley 1975), so its cost follows the surface, not the volume. The
+distances are the exact Euclidean ones a distance transform gives.
 """
 
 from dataclasses import dataclass
@@ -106,32 +113,48 @@ def surface_voxels(mask):
     return mask & ~eroded
 
 
+def _box(nonzero):
+    """Slices of the smallest box that holds every True voxel of
+    ``nonzero``, found from its projection onto each axis; an empty box
+    when there is none."""
+    box = []
+    for axis in range(nonzero.ndim):
+        others = tuple(a for a in range(nonzero.ndim) if a != axis)
+        hit = np.flatnonzero(nonzero.any(axis=others))
+        if hit.size == 0:
+            return (slice(0, 0),) * nonzero.ndim
+        box.append(slice(hit[0], hit[-1] + 1))
+    return tuple(box)
+
+
 def hd95(pred, truth, spacing=(1.0, 1.0, 1.0)):
     """95th percentile of surface-to-nearest-surface distances, both
     directions pooled into one set.
 
+    Both masks are first cropped to the box of ``pred | truth``. Each
+    surface voxel's distance to the other mask's surface is a nearest
+    neighbor query on a k-d tree of that surface's coordinates in
+    ``spacing`` units.
+
     Both empty -> 0.0; exactly one empty -> ``HD95_EMPTY_SENTINEL``.
     """
+    # imported here: scipy.spatial would add to every command's start-up
+    from scipy.spatial import KDTree
+
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
     _check_shapes(pred, truth, "hd95")
-    ps = surface_voxels(pred)
-    ts = surface_voxels(truth)
-    if not ps.any() and not ts.any():
+    box = _box(pred | truth)
+    scale = np.asarray(spacing, dtype=np.float64)
+    ps = np.argwhere(surface_voxels(pred[box])) * scale
+    ts = np.argwhere(surface_voxels(truth[box])) * scale
+    if len(ps) == 0 and len(ts) == 0:
         return 0.0
-    if not ps.any() or not ts.any():
+    if len(ps) == 0 or len(ts) == 0:
         return HD95_EMPTY_SENTINEL
-    d_to_truth = ndimage.distance_transform_edt(~ts, sampling=spacing)[ps]
-    d_to_pred = ndimage.distance_transform_edt(~ps, sampling=spacing)[ts]
+    d_to_truth = KDTree(ts).query(ps)[0]
+    d_to_pred = KDTree(ps).query(ts)[0]
     return float(np.percentile(np.concatenate([d_to_truth, d_to_pred]), 95))
-
-
-def _joint_box(pred_mask, truth_mask):
-    """Slices of the smallest box that holds every nonzero voxel of either
-    mask; an empty box when both masks are all zeros."""
-    nonzero = (pred_mask != 0) | (truth_mask != 0)
-    boxes = ndimage.find_objects(nonzero.view(np.uint8))
-    return boxes[0] if boxes else (slice(0, 0),) * nonzero.ndim
 
 
 def evaluate_case(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0),
@@ -147,7 +170,7 @@ def evaluate_case(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0),
     _check_shapes(pred_mask, truth_mask, "evaluate_case")
     check_labels(pred_mask, sources[0])
     check_labels(truth_mask, sources[1])
-    box = _joint_box(pred_mask, truth_mask)
+    box = _box((pred_mask != 0) | (truth_mask != 0))
     pred_box, truth_box = pred_mask[box], truth_mask[box]
     out = {}
     for region in REGIONS:

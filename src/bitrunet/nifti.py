@@ -14,6 +14,7 @@ mtime so identical inputs give byte-identical files.
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,11 @@ def _open_maybe_gzip(path):
     with open(path, "rb") as fh:
         head = fh.read(2)
     if head == b"\x1f\x8b":
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
+        try:
+            with gzip.open(path, "rb") as fh:
+                return fh.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise NiftiError(f"{path}: corrupt or truncated gzip stream: {exc}") from exc
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -103,7 +107,12 @@ def parse_header(buf, label="<nifti>"):
                 f"voxel spacing must be positive and finite"
             )
     vox_offset, scl_slope, scl_inter = struct.unpack(f"{endian}3f", buf[108:120])
-    if not vox_offset >= HEADER_SIZE + 4:
+    for name, value, at in (("vox_offset", vox_offset, 108),
+                            ("scl_slope", scl_slope, 112),
+                            ("scl_inter", scl_inter, 116)):
+        if not math.isfinite(value):
+            raise NiftiError(f"{label}: {name} {value:g} at byte {at} is not finite")
+    if vox_offset < HEADER_SIZE + 4:
         raise NiftiError(
             f"{label}: vox_offset {vox_offset:g} at byte 108 is below "
             f"{HEADER_SIZE + 4}; voxel data cannot start inside the header"

@@ -436,6 +436,41 @@ class TestEvaluate(object):
         b.mkdir()
         assert cli(["evaluate", "--pred", str(a), "--truth", str(b)]) == 2
 
+    def test_case_id_strips_only_the_suffix(self, tmp_path):
+        # ".nii" inside a name is part of the case id: both cases are scored
+        dirs = {k: tmp_path / k for k in ("pred", "truth")}
+        empty = np.zeros((6, 6, 6), dtype=np.uint8)
+        tumor = empty.copy()
+        tumor[1:4, 2:5, 1:3] = 2
+        for k, d in dirs.items():
+            d.mkdir()
+            write_nifti(d / "case.nii_1.nii.gz", tumor)
+            write_nifti(d / "case_1.nii.gz", tumor if k == "truth" else empty)
+        report = tmp_path / "report.tsv"
+        assert cli(["evaluate", "--pred", str(dirs["pred"]), "--truth",
+                    str(dirs["truth"]), "--out", str(report)]) == 0
+        rows = {tuple(ln.split("\t")[:2]): ln.split("\t")[2]
+                for ln in report.read_text().splitlines() if ln.startswith("case")}
+        assert rows[("case.nii_1", "WT")] == "1.000000"
+        assert rows[("case_1", "WT")] == "0.000000"
+
+    @pytest.mark.parametrize("names", [("a.nii", "a.nii.gz"), ("a.nii.gz", "a.nii")])
+    def test_two_files_with_one_case_id_is_data_error(self, tmp_path, capsys, names):
+        dirs = {k: tmp_path / k for k in ("pred", "truth")}
+        mask = np.zeros((4, 4, 4), dtype=np.uint8)
+        for d in dirs.values():
+            d.mkdir()
+        for name in names:
+            write_nifti(dirs["pred"] / name, mask)
+        write_nifti(dirs["truth"] / names[0], mask)
+        report = tmp_path / "report.tsv"
+        assert cli(["evaluate", "--pred", str(dirs["pred"]), "--truth",
+                    str(dirs["truth"]), "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert str(dirs["pred"] / "a.nii") in err
+        assert str(dirs["pred"] / "a.nii.gz") in err
+        assert not report.exists()
+
 
 class TestChecks(object):
     def test_gradcheck_exits_zero(self, capsys):

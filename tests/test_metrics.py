@@ -1,9 +1,15 @@
 """Region masks and the four evaluation metrics against hand counts and
 brute-force oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import bitrunet
 from bitrunet import reference
 from bitrunet.metrics import (
     HD95_EMPTY_SENTINEL,
@@ -277,6 +283,94 @@ class TestEvaluateCaseCrop:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             evaluate_case(np.zeros((2, 2, 1)), np.zeros((2, 2, 2)))
+
+
+def edt_hd95(pred, truth, spacing):
+    """HD95 by two Euclidean distance transforms over the whole, uncropped
+    volume: a computation independent of the crop and the k-d tree."""
+    ps, ts = surface_voxels(pred), surface_voxels(truth)
+    if not ps.any() and not ts.any():
+        return 0.0
+    if not ps.any() or not ts.any():
+        return HD95_EMPTY_SENTINEL
+    d_to_truth = ndimage.distance_transform_edt(~ts, sampling=spacing)[ps]
+    d_to_pred = ndimage.distance_transform_edt(~ps, sampling=spacing)[ts]
+    return float(np.percentile(np.concatenate([d_to_truth, d_to_pred]), 95))
+
+
+def shells(shape, centre, radii):
+    """Nested spheres labelled 2 / 1 / 4 from the outside in, in the
+    Fortran order a NIfTI read gives."""
+    grid = np.ogrid[tuple(slice(0, n) for n in shape)]
+    d2 = sum((g - c) ** 2 for g, c in zip(grid, centre))
+    mask = np.zeros(shape, dtype=np.uint8, order="F")
+    for label, r in zip((2, 1, 4), radii):
+        mask[d2 <= r * r] = label
+    return mask
+
+
+class TestHd95NearestSurface:
+    """hd95 crops to its region's own box and queries a k-d tree of surface
+    voxels; it must give the all-pairs and the distance-transform values."""
+
+    @pytest.mark.parametrize("spacing", [(1.5, 1.0, 0.5), (0.7, 2.5, 1.3)])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_masks_on_the_faces_against_all_pairs_oracle(self, axis, spacing):
+        # a on the low face of ``axis``, b on the high one; the other two
+        # axes are filled edge to edge in places, so the crop's faces are
+        # the array's faces and surface voxels lie on both
+        for _ in range(3):
+            a = np.zeros((7, 6, 8), dtype=bool)
+            b = np.zeros((7, 6, 8), dtype=bool)
+            a[:3] = rng.random((3, 6, 8)) < 0.4
+            b[4:] = rng.random((3, 6, 8)) < 0.4
+            a[0, 0, 0] = b[-1, -1, -1] = True
+            a, b = np.moveaxis(a, 0, axis), np.moveaxis(b, 0, axis)
+            ref = reference.brute_force_hd95(a, b, spacing)
+            assert abs(hd95(a, b, spacing) - ref) < 1e-9
+            assert abs(hd95(b, a, spacing) - ref) < 1e-9
+
+    def test_region_nested_far_inside_the_other(self):
+        # a 2x2x3 core deep inside a box that fills the array on four faces
+        outer = np.zeros((18, 16, 15), dtype=bool)
+        outer[:, 1:15, :] = True
+        inner = np.zeros_like(outer)
+        inner[8:10, 7:9, 6:9] = True
+        spacing = (1.2, 0.9, 2.0)
+        ref = reference.brute_force_hd95(outer, inner, spacing)
+        assert ref > 8.0
+        assert abs(hd95(outer, inner, spacing) - ref) < 1e-9
+        assert abs(hd95(inner, outer, spacing) - ref) < 1e-9
+
+    def test_brats_sized_shells_against_full_volume_transforms(self):
+        # a shifted, resized prediction on 240x240x155 volumes; at unit
+        # spacing both ways give every distance as the correctly rounded
+        # root of an integer
+        shape = (240, 240, 155)
+        pred = shells(shape, (121, 123, 76), (35, 20, 8))
+        truth = shells(shape, (118, 123, 76), (36, 19, 9))
+        got = evaluate_case(pred, truth)
+        for region in REGIONS:
+            p, t = region_mask(pred, region), region_mask(truth, region)
+            assert got[region.name] == {
+                "dice": dice(p, t),
+                "hd95": edt_hd95(p, t, (1.0, 1.0, 1.0)),
+                "sensitivity": sensitivity(p, t),
+                "specificity": specificity(p, t),
+            }
+            assert 0 < got[region.name]["hd95"] < 5
+
+    def test_cli_import_leaves_scipy_spatial_unloaded(self):
+        # the k-d tree is imported inside hd95, so no command but evaluate
+        # and selftest pays for scipy.spatial at start-up
+        src = os.path.dirname(os.path.dirname(bitrunet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, bitrunet.cli; "
+                 "print(bitrunet.__file__); print('scipy.spatial' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == [bitrunet.__file__, "False"]
 
 
 class TestSummarize:

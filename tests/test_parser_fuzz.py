@@ -1,7 +1,8 @@
-"""Corrupted inputs to the checkpoint, case-cache and probability-dump
-parsers: each either loads or fails with its own typed error (CLI exit
-code 2), never with a stray exception."""
+"""Corrupted inputs to the checkpoint, case-cache, NIfTI and
+probability-dump parsers: each either loads or fails with its own typed
+error (CLI exit code 2), never with a stray exception."""
 
+import gzip
 import math
 import struct
 import zlib
@@ -13,7 +14,7 @@ from bitrunet.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from bitrunet.cli import cli
 from bitrunet.data import CacheError, CaseRecord, Volume4D, cache_case, load_case
 from bitrunet.model import BiTrUnetModel, ModelConfig
-from bitrunet.nifti import read_nifti
+from bitrunet.nifti import NiftiError, read_nifti, write_nifti
 
 # the smallest model the architecture allows, so each load is cheap
 SMALL = ModelConfig(
@@ -195,6 +196,115 @@ class TestCaseCacheFuzz:
                     "--out", str(out)]) == 2
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
+
+
+# byte offsets at which the NIfTI-1 header fields start, then the
+# extension bytes and the voxel data; each field ends where the next starts
+NIFTI_FIELDS = (
+    0, 4, 14, 32, 36, 38, 39, 40, 56, 60, 64, 68, 70, 72, 74, 76, 108, 112,
+    116, 120, 122, 123, 124, 128, 132, 136, 140, 144, 148, 228, 252, 254,
+    256, 260, 264, 268, 272, 276, 280, 296, 312, 328, 344, 348, 352,
+)
+
+
+@pytest.fixture(scope="module")
+def nifti_mask(tmp_path_factory):
+    """(plain .nii bytes, .nii.gz bytes) of one small labelled mask."""
+    mask = np.zeros((5, 4, 3), dtype=np.uint8)
+    mask[1:4, 1:3, :2] = 2
+    mask[2, 1, 0] = 4
+    mask[2, 2, 1] = 1
+    root = tmp_path_factory.mktemp("nifti")
+    write_nifti(root / "m.nii", mask)
+    write_nifti(root / "m.nii.gz", mask)
+    return (root / "m.nii").read_bytes(), (root / "m.nii.gz").read_bytes()
+
+
+class TestNiftiFuzz:
+    """Each corrupted file is read directly, then scored by ``evaluate``
+    against the intact mask: a ``NiftiError`` must be exit code 2, and no
+    file may raise anything else."""
+
+    @staticmethod
+    def _check(tmp_path, name, data, intact, seen=None):
+        """Whether ``data`` is malformed. A file that loads is scored only
+        if no earlier file in ``seen`` loaded to the same spacing and
+        voxels, since ``evaluate`` reads nothing else."""
+        pred, truth = tmp_path / "pred", tmp_path / "truth"
+        for d in (pred, truth):
+            d.mkdir(exist_ok=True)
+        path = _write(pred / name, data)
+        _write(truth / name, intact)
+        try:
+            hdr, mask = read_nifti(path)
+        except NiftiError:
+            malformed = True
+        else:
+            malformed = False
+            if seen is not None:
+                key = (hdr.spacing, mask.dtype.str, mask.shape, mask.tobytes())
+                if key in seen:
+                    return False
+                seen.add(key)
+        code = cli(["evaluate", "--pred", str(pred), "--truth", str(truth)])
+        assert (code == 2) if malformed else (code in (0, 2))
+        return malformed
+
+    def test_truncations(self, nifti_mask, tmp_path, capsys):
+        # The plain file cut at every header field boundary and inside the
+        # voxel data, the same cuts gzip-compressed, and the gzip file cut
+        # at every byte of its stream: every one is malformed.
+        plain, packed = nifti_mask
+        cuts = [c for c in NIFTI_FIELDS if c < len(plain)]
+        cuts += [len(plain) - 1, (352 + len(plain)) // 2]
+        for cut in cuts:
+            assert self._check(tmp_path, "m.nii", plain[:cut], plain)
+            assert self._check(tmp_path, "m.nii.gz", gzip.compress(plain[:cut]), packed)
+        for cut in range(len(packed)):
+            assert self._check(tmp_path, "m.nii.gz", packed[:cut], packed)
+        capsys.readouterr()
+
+    def test_bit_flips(self, nifti_mask, tmp_path, capsys):
+        # Every bit of every byte of the plain file and of the gzip file.
+        plain, packed = nifti_mask
+        loaded, seen = 0, set()
+        for name, data in (("m.nii", plain), ("m.nii.gz", packed)):
+            for at in range(len(data)):
+                for bit in range(8):
+                    bad = bytearray(data)
+                    bad[at] ^= 1 << bit
+                    loaded += not self._check(tmp_path, name, bytes(bad), data, seen)
+        assert loaded > len(seen) > 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("field,at", [
+        ("vox_offset", 108), ("scl_slope", 112), ("scl_inter", 116),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_header_float(self, nifti_mask, tmp_path, capsys, field, at, value):
+        plain, _ = nifti_mask
+        bad = plain[:at] + struct.pack("<f", value) + plain[at + 4 :]
+        message = f"{field} {value:g} at byte {at} is not finite"
+        with pytest.raises(NiftiError, match=message):
+            read_nifti(_write(tmp_path / "m.nii", bad))
+        assert self._check(tmp_path, "m.nii", bad, plain)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "invalid-block-type", "crc"])
+    def test_bad_gzip_stream(self, nifti_mask, tmp_path, capsys, corrupt):
+        _, packed = nifti_mask
+        bad = bytearray(packed)
+        if corrupt == "truncated":
+            bad = bad[:-9]
+        elif corrupt == "invalid-block-type":
+            bad[10] |= 0b110  # BTYPE 11 of the first deflate block is reserved
+        else:
+            bad[-8] ^= 0xFF
+        with pytest.raises(NiftiError, match="corrupt or truncated gzip stream"):
+            read_nifti(_write(tmp_path / "m.nii.gz", bytes(bad)))
+        assert self._check(tmp_path, "m.nii.gz", bytes(bad), packed)
+        assert str(tmp_path / "pred" / "m.nii.gz") in capsys.readouterr().err
 
 
 GOOD_SIDECAR = (
