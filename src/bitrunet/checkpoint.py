@@ -3,27 +3,31 @@
 Layout:
 
     magic       4 bytes  "BTRU"
-    version     u32      currently 1
+    version     u32      2 (version 1 files, which lack the CRC32, still load)
     config_len  u32
     config      utf-8 key=value lines (ModelConfig.to_text)
     n_params    u32
     per parameter, in registry order:
         name_len u32, name utf-8, rank u32, dims u32 * rank,
         data float32 * prod(dims)
+    crc         u32, CRC32 of all preceding bytes (version 2 only)
 
 Parameters are stored as 32-bit floats; loading yields a float32 model.
-Every parse failure reports the byte offset it happened at.
+Every parse failure reports the byte offset it happened at. The CRC32 is
+checked after the whole file parses, so a malformed file is reported by
+its first bad field and a well-formed one with a flipped bit by its CRC32.
 """
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
 from .model import BiTrUnetModel, ModelConfig
 
 MAGIC = b"BTRU"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -59,21 +63,25 @@ class _Reader:
 
 
 def save_checkpoint(model, path):
-    """Write all parameters (cast to float32) plus the config."""
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
-    cfg = model.config.to_text().encode()
-    chunks.append(struct.pack("<I", len(cfg)))
-    chunks.append(cfg)
-    chunks.append(struct.pack("<I", len(model.params)))
-    for name, t in model.params.items():
-        nb = name.encode()
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", t.ndim))
-        chunks.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        chunks.append(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    """Write all parameters (cast to float32) plus the config, each chunk as
+    it is built, then the CRC32 of every byte written before it."""
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+
+        def put(chunk):
+            nonlocal crc
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+
+        cfg = model.config.to_text().encode()
+        put(MAGIC + struct.pack("<II", VERSION, len(cfg)) + cfg)
+        put(struct.pack("<I", len(model.params)))
+        for name, t in model.params.items():
+            nb = name.encode()
+            put(struct.pack("<I", len(nb)) + nb
+                + struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape))
+            put(np.ascontiguousarray(t.data, dtype="<f4"))
+        fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path):
@@ -87,9 +95,9 @@ def load_checkpoint(path):
             f"{path}: bad magic {magic!r} at byte 0, expected {MAGIC!r}"
         )
     version = r.u32("version")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(
-            f"{path}: unsupported version {version} at byte 4, expected {VERSION}"
+            f"{path}: unsupported version {version} at byte 4, expected 1 or {VERSION}"
         )
     cfg_len = r.u32("config length")
     raw_config = r.take(cfg_len, "config")
@@ -133,8 +141,14 @@ def load_checkpoint(path):
             )
         raw = r.take(4 * math.prod(dims), f"{name} data")
         t.data = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+    body_end = r.pos
+    stored = r.u32("CRC32") if version >= 2 else None
     if r.pos != len(buf):
         raise CheckpointError(
             f"{path}: {len(buf) - r.pos} trailing bytes at byte {r.pos}"
+        )
+    if stored is not None and zlib.crc32(memoryview(buf)[:body_end]) != stored:
+        raise CheckpointError(
+            f"{path}: CRC32 mismatch at byte {body_end}, file is corrupt"
         )
     return model

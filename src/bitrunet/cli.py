@@ -382,6 +382,7 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_selftest(args):
+    import gzip
     import tempfile
 
     from . import kernels
@@ -536,12 +537,18 @@ def _cmd_selftest(args):
 
     def roundtrips():
         with tempfile.TemporaryDirectory() as td:
-            vol = rng.standard_normal((4, 4, 4)).astype(np.float32)
+            # the file holds the header, then the payload x-fastest, whatever
+            # the array's memory order; stdlib gzip must read it too
+            vol = rng.standard_normal((5, 3, 4)).astype(np.float32)
             path = os.path.join(td, "v.nii.gz")
-            write_nifti(path, vol)
-            _, back = read_nifti(path)
-            if not np.array_equal(vol, back):
-                return False
+            for arr in (vol, np.asfortranarray(vol)):
+                write_nifti(path, arr)
+                with gzip.open(path, "rb") as fh:
+                    raw = fh.read()
+                hdr, back = read_nifti(path)
+                payload = raw[hdr.vox_offset :]
+                if payload != vol.tobytes(order="F") or not np.array_equal(vol, back):
+                    return False
             rec = make_sphere_case(size=16, radius=4)
             cpath = os.path.join(td, "c.btrc")
             cache_case(rec, cpath)

@@ -162,11 +162,14 @@ def evaluate_case(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0),
     """Per-region dice, hd95, sensitivity and specificity for one case,
     scored on the joint bounding box of the two masks' nonzero voxels.
 
-    Both masks must hold only the labels {0, 1, 2, 4}; ``sources`` names
-    them in the error otherwise.
+    Both masks must be 3D and hold only the labels {0, 1, 2, 4}; ``sources``
+    names them in the error otherwise.
     """
     pred_mask = np.asarray(pred_mask)
     truth_mask = np.asarray(truth_mask)
+    for mask, source in ((pred_mask, sources[0]), (truth_mask, sources[1])):
+        if mask.ndim != 3:
+            raise ValueError(f"{source}: mask of shape {mask.shape} is not 3D")
     _check_shapes(pred_mask, truth_mask, "evaluate_case")
     check_labels(pred_mask, sources[0])
     check_labels(truth_mask, sources[1])

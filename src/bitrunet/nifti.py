@@ -7,11 +7,19 @@ sentinel), plain or gzip streams (sniffed by the gzip magic bytes).
 Data on disk is x-fastest; in memory the array is indexed [x, y, z]
 (mapped onto the model's (H, W, D)). The writer sets dims, datatype,
 spacing, the data offset and an identity scaling; every other header field
-(the affine among them) is zero. Gzip output is written with a zeroed
-mtime so identical inputs give byte-identical files.
+(the affine among them) is zero.
+
+The writer streams: it serializes the payload one (x, y) plane at a time,
+in on-disk order, and writes each plane (or its deflate output) before
+making the next, so no copy of the whole volume is made. Gzip output is one member
+at zlib level 6 (as ``gzip -6``) with a zeroed mtime, so identical inputs
+give byte-identical files. The reader inflates a gzip file in one call per
+member and accepts what ``gzip.open`` accepts: concatenated members and
+trailing zero padding after the last one.
 """
 
 import gzip
+import itertools
 import math
 import struct
 import zlib
@@ -47,17 +55,21 @@ class NiftiHeader:
         return self.pixdim[:3]
 
 
-def _open_maybe_gzip(path):
+def _read_bytes(path):
+    """The file's bytes, inflated when they start with the gzip magic.
+
+    ``gzip.decompress`` inflates each member in one call and joins the
+    members; it takes the headers, trailing zero padding and errors exactly
+    as ``gzip.open`` does.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        try:
-            with gzip.open(path, "rb") as fh:
-                return fh.read()
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise NiftiError(f"{path}: corrupt or truncated gzip stream: {exc}") from exc
-    with open(path, "rb") as fh:
-        return fh.read()
+        raw = fh.read()
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise NiftiError(f"{path}: corrupt or truncated gzip stream: {exc}") from exc
 
 
 def parse_header(buf, label="<nifti>"):
@@ -135,7 +147,7 @@ def read_nifti(path):
     Values are rescaled to float32 by scl_slope/scl_inter when the header
     requests a non-identity scaling.
     """
-    buf = _open_maybe_gzip(path)
+    buf = _read_bytes(path)
     hdr = parse_header(buf, str(path))
     count = int(np.prod(hdr.dims))
     dt = np.dtype(_DTYPES[hdr.datatype]).newbyteorder(hdr.endian)
@@ -146,7 +158,7 @@ def read_nifti(path):
             f"{path}: truncated payload at byte {len(buf)}: "
             f"need {start + need} bytes for {hdr.dims} voxels"
         )
-    data = np.frombuffer(buf[start : start + need], dtype=dt)
+    data = np.frombuffer(buf, dtype=dt, count=count, offset=start)
     data = data.reshape(hdr.dims, order="F")
     slope, inter = hdr.scl_slope, hdr.scl_inter
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
@@ -164,24 +176,30 @@ def write_nifti(path, data, spacing=(1.0, 1.0, 1.0)):
     data = np.asarray(data)
     if data.dtype not in _CODES:
         raise NiftiError(f"cannot write dtype {data.dtype}; use uint8/int16/float32")
-    raw = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", raw, 0, HEADER_SIZE)
+    if data.ndim not in (3, 4) or 0 in data.shape:
+        raise NiftiError(
+            f"cannot write shape {data.shape}; use 3D or 4D with every dimension positive"
+        )
+    head = bytearray(HEADER_SIZE + 4)  # the header and an empty extension
+    struct.pack_into("<i", head, 0, HEADER_SIZE)
     dim = [data.ndim] + list(data.shape) + [1] * (7 - data.ndim)
-    struct.pack_into("<8h", raw, 40, *dim)
-    struct.pack_into("<2h", raw, 70, _CODES[data.dtype], data.dtype.itemsize * 8)
-    struct.pack_into("<8f", raw, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
-    struct.pack_into("<3f", raw, 108, float(HEADER_SIZE + 4), 1.0, 0.0)
-    raw[344:348] = MAGIC
-    payload = bytes(raw) + b"\x00\x00\x00\x00" + data.astype(
-        data.dtype.newbyteorder("<")
-    ).tobytes(order="F")
-    path = str(path)
-    if path.endswith(".gz"):
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(
-                filename="", fileobj=fh, mode="wb", mtime=0
-            ) as gz:
-                gz.write(payload)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(payload)
+    struct.pack_into("<8h", head, 40, *dim)
+    struct.pack_into("<2h", head, 70, _CODES[data.dtype], data.dtype.itemsize * 8)
+    struct.pack_into("<8f", head, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
+    struct.pack_into("<3f", head, 108, float(HEADER_SIZE + 4), 1.0, 0.0)
+    head[344:348] = MAGIC
+    little = data.dtype.newbyteorder("<")
+    # the header, then every (x, y) plane x-fastest, z before t: the file's order
+    vols = [data] if data.ndim == 3 else [data[..., t] for t in range(data.shape[3])]
+    chunks = itertools.chain([head], (
+        vol[:, :, z].astype(little, copy=False).tobytes(order="F")
+        for vol in vols for z in range(vol.shape[2])
+    ))
+    with open(path, "wb") as fh:
+        if str(path).endswith(".gz"):
+            deflate = zlib.compressobj(6, zlib.DEFLATED, 31)  # one gzip member
+            for chunk in chunks:
+                fh.write(deflate.compress(chunk))
+            fh.write(deflate.flush())
+        else:
+            fh.writelines(chunks)

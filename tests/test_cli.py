@@ -307,6 +307,21 @@ class TestPredict(object):
         assert "norm_groups" in err
         assert str(ckpt) in err
 
+    def test_checkpoint_payload_bit_flip_is_data_error(self, workspace, tmp_path, capsys):
+        buf = bytearray((workspace / "run" / "checkpoint_final.ckpt").read_bytes())
+        buf[len(buf) // 2] ^= 0x10  # inside some parameter's float32 data
+        ckpt = tmp_path / "flipped.ckpt"
+        ckpt.write_bytes(bytes(buf))
+        code = cli([
+            "predict", "--models", str(ckpt),
+            "--input", str(workspace / "cache" / "case1.btrc"),
+            "--out", str(tmp_path / "x.nii.gz"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: CRC32 mismatch" in err
+        assert not (tmp_path / "x.nii.gz").exists()
+
     def test_checkpoint_repeated_parameter_is_data_error(self, workspace, tmp_path, capsys):
         # e2.cbam.spatial_w renamed to e1.cbam.spatial_w: the count still
         # matches, but one name is repeated and the other is missing
@@ -469,6 +484,22 @@ class TestEvaluate(object):
         err = capsys.readouterr().err
         assert str(dirs["pred"] / "a.nii") in err
         assert str(dirs["pred"] / "a.nii.gz") in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("four_d", [("pred", "truth"), ("pred",), ("truth",)])
+    def test_mask_that_is_not_3d_is_data_error(self, tmp_path, capsys, four_d):
+        # a (4, 4, 4, 1) mask is read as 4D; it is named, never scored
+        dirs = {k: tmp_path / k for k in ("pred", "truth")}
+        mask = np.zeros((4, 4, 4, 1), dtype=np.uint8)
+        mask[1:3, 1:3, 1:3] = 2
+        for k, d in dirs.items():
+            d.mkdir()
+            write_nifti(d / "a.nii.gz", mask if k in four_d else mask[..., 0])
+        report = tmp_path / "report.tsv"
+        assert cli(["evaluate", "--pred", str(dirs["pred"]), "--truth",
+                    str(dirs["truth"]), "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dirs[four_d[0]] / 'a.nii.gz'}: mask of shape (4, 4, 4, 1) is not 3D" in err
         assert not report.exists()
 
 

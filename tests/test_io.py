@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -155,6 +156,143 @@ class TestNifti:
         write_nifti(path, vol)
         _, back = read_nifti(path)
         assert np.array_equal(vol, back)
+
+
+def _on_disk(vol, spacing=(1.0, 1.0, 1.0)):
+    """The NIfTI bytes of ``vol`` built by hand: header, empty extension,
+    then the payload x-fastest."""
+    head = bytearray(HEADER_SIZE)
+    struct.pack_into("<i", head, 0, HEADER_SIZE)
+    struct.pack_into("<8h", head, 40, vol.ndim, *vol.shape, *[1] * (7 - vol.ndim))
+    struct.pack_into("<2h", head, 70, {1: 2, 2: 4, 4: 16}[vol.itemsize], 8 * vol.itemsize)
+    struct.pack_into("<8f", head, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
+    struct.pack_into("<3f", head, 108, HEADER_SIZE + 4.0, 1.0, 0.0)
+    head[344:348] = b"n+1\x00"
+    return bytes(head) + bytes(4) + vol.astype(vol.dtype.newbyteorder("<")).tobytes(order="F")
+
+
+def _volume(dtype, shape):
+    if dtype == np.float32:
+        return rng.standard_normal(shape).astype(np.float32)
+    return rng.integers(-300 if dtype == np.int16 else 0, 255, shape).astype(dtype)
+
+
+class TestNiftiCodec:
+    """The streamed writer and the one-shot reader against stdlib gzip and
+    a layout built by hand."""
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("shape", [(5, 3, 4), (3, 4, 2, 3)], ids=["3d", "4d"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
+    def test_roundtrip(self, tmp_path, dtype, shape, suffix):
+        vol = _volume(dtype, shape)
+        path = tmp_path / f"v{suffix}"
+        write_nifti(path, vol, spacing=(0.5, 1.0, 2.5))
+        hdr, back = read_nifti(path)
+        assert back.dtype == dtype and back.shape == shape
+        assert np.array_equal(back, vol)
+        assert hdr.dims == shape and hdr.spacing == (0.5, 1.0, 2.5)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_memory_layout_gives_the_same_file(self, tmp_path, layout):
+        vol = _volume(np.int16, (6, 5, 7))
+        arg = {
+            "C": np.ascontiguousarray(vol),
+            "F": np.asfortranarray(vol),
+            "strided": np.repeat(vol, 2, axis=1)[:, ::2],
+        }[layout]
+        assert np.array_equal(arg, vol)
+        path = tmp_path / "v.nii.gz"
+        write_nifti(path, arg)
+        raw = path.read_bytes()
+        assert gzip.decompress(raw) == _on_disk(vol)
+        write_nifti(tmp_path / "v.nii", arg)
+        assert (tmp_path / "v.nii").read_bytes() == _on_disk(vol)
+        write_nifti(path, arg)
+        assert path.read_bytes() == raw
+        _, back = read_nifti(path)
+        assert np.array_equal(back, vol)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4, 2, 2), (4, 0, 4)])
+    def test_shape_the_reader_rejects_is_not_written(self, tmp_path, shape):
+        path = tmp_path / "v.nii"
+        with pytest.raises(NiftiError, match=r"cannot write shape"):
+            write_nifti(path, np.zeros(shape, dtype=np.uint8))
+
+    def test_gzip_stream_is_one_member_with_a_zero_mtime(self, tmp_path):
+        vol = _volume(np.uint8, (7, 6, 5))
+        path = tmp_path / "m.nii.gz"
+        write_nifti(path, vol)
+        raw = path.read_bytes()
+        assert raw[:4] == b"\x1f\x8b\x08\x00" and raw[4:8] == bytes(4)
+        with gzip.open(path, "rb") as fh:
+            assert fh.read() == _on_disk(vol)
+
+    def test_concatenated_members_and_zero_padding(self, tmp_path):
+        vol = _volume(np.float32, (6, 5, 4))
+        plain = _on_disk(vol)
+        split = HEADER_SIZE + 4 + 123  # inside the payload
+        files = {
+            "two-members": gzip.compress(plain[:split], mtime=0)
+            + gzip.compress(plain[split:], mtime=0),
+            "zero-padding": gzip.compress(plain, mtime=0) + bytes(9),
+            "padded-members": gzip.compress(plain[:split], mtime=0) + bytes(3)
+            + gzip.compress(plain[split:], mtime=0) + bytes(1),
+        }
+        for name, raw in files.items():
+            path = tmp_path / f"{name}.nii.gz"
+            path.write_bytes(raw)
+            _, back = read_nifti(path)
+            assert np.array_equal(back, vol), name
+
+    @pytest.mark.parametrize("tail", [b"\x01", bytes(4) + b"\x01", b"\x1f", b"\x1f\x8b"])
+    def test_bytes_after_the_last_member_rejected(self, tmp_path, tail):
+        vol = _volume(np.uint8, (4, 3, 2))
+        path = tmp_path / "m.nii.gz"
+        path.write_bytes(gzip.compress(_on_disk(vol), mtime=0) + tail)
+        with pytest.raises(NiftiError, match="corrupt or truncated gzip stream"):
+            read_nifti(path)
+
+    def test_accepts_what_gzip_open_accepts(self, tmp_path):
+        # Every cut and every single-bit flip of a small gzip file, and a
+        # header with the optional fields set: read_nifti reads the file as
+        # it reads the bytes gzip.open inflates, and fails when that fails.
+        vol = _volume(np.uint8, (3, 2, 2))
+        packed = gzip.compress(_on_disk(vol), mtime=0)
+        # FEXTRA, FNAME, FCOMMENT and an unchecked FHCRC in front of one deflate body
+        optional = (packed[:3] + bytes([0b11110]) + packed[4:10] + b"\x02\x00xy"
+                    + b"m.nii\x00" + b"note\x00" + b"\xff\xff" + packed[10:])
+        files = [packed[:cut] for cut in range(2, len(packed))] + [optional]
+        for at in range(len(packed)):
+            for bit in range(8):
+                bad = bytearray(packed)
+                bad[at] ^= 1 << bit
+                files.append(bytes(bad))
+
+        def outcome(path):
+            try:
+                hdr, back = read_nifti(path)
+            except NiftiError as exc:
+                return str(exc).replace(str(path), "<path>")
+            return hdr, back.dtype, back.tobytes()
+
+        packed_path, plain_path = tmp_path / "m.nii.gz", tmp_path / "m.nii"
+        loaded = 0
+        for raw in files:
+            if raw[:2] != b"\x1f\x8b":
+                continue  # not sniffed as gzip
+            packed_path.write_bytes(raw)
+            try:
+                with gzip.open(packed_path, "rb") as fh:
+                    plain_path.write_bytes(fh.read())
+            except (EOFError, OSError, zlib.error):
+                with pytest.raises(NiftiError, match="corrupt or truncated gzip stream"):
+                    read_nifti(packed_path)
+            else:
+                got = outcome(packed_path)
+                assert got == outcome(plain_path)
+                loaded += not isinstance(got, str)
+        assert loaded > 8
 
 
 class TestStackNormalize:

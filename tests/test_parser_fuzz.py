@@ -40,7 +40,7 @@ def checkpoint(tmp_path_factory):
             fields.append((pos, pos + size))
             pos += size
         spans.append(fields)
-    assert pos == len(buf)
+    assert pos + 4 == len(buf)  # the CRC32 trailer
     return buf, header_end, spans
 
 
@@ -94,6 +94,42 @@ class TestCheckpointFuzz:
         bad = buf[:8] + struct.pack("<I", len(config)) + config + buf[header_end - 4 :]
         with pytest.raises(CheckpointError, match=f"bad config block.*{key}"):
             load_checkpoint(_write(tmp_path / "bad.ckpt", bad))
+
+    def test_payload_bit_flip_fails_the_crc(self, checkpoint, tmp_path):
+        # one bit in the middle of each parameter's data, then in the CRC
+        buf, _, spans = checkpoint
+        path = tmp_path / "bad.ckpt"
+        flips = [(lo + hi) // 2 for fields in spans for lo, hi in fields[4:]]
+        for at in flips + [len(buf) - 1]:
+            bad = bytearray(buf)
+            bad[at] ^= 1 << (at % 8)
+            with pytest.raises(CheckpointError, match=f"CRC32 mismatch at byte {len(buf) - 4}"):
+                load_checkpoint(_write(path, bytes(bad)))
+
+    def test_cut_inside_the_crc_is_truncated(self, checkpoint, tmp_path):
+        buf, _, _ = checkpoint
+        for cut in range(len(buf) - 4, len(buf)):
+            with pytest.raises(CheckpointError,
+                               match=f"truncated while reading CRC32 at byte {len(buf) - 4}"):
+                load_checkpoint(_write(tmp_path / "bad.ckpt", buf[:cut]))
+
+    def test_version_1_file_loads_bit_exactly(self, tmp_path):
+        # the version 1 layout built by hand: no CRC32 trailer
+        model = BiTrUnetModel(SMALL, seed=5)
+        cfg = SMALL.to_text().encode()
+        parts = [b"BTRU", struct.pack("<II", 1, len(cfg)), cfg,
+                 struct.pack("<I", len(model.params))]
+        for name, t in model.params.items():
+            parts += [struct.pack("<I", len(name.encode())), name.encode(),
+                      struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape),
+                      t.data.astype("<f4").tobytes()]
+        v1 = b"".join(parts)
+        loaded = load_checkpoint(_write(tmp_path / "v1.ckpt", v1))
+        for name, t in model.params.items():
+            assert loaded.params[name].data.dtype == np.float32
+            assert np.array_equal(loaded.params[name].data, t.data), name
+        with pytest.raises(CheckpointError, match=f"4 trailing bytes at byte {len(v1)}"):
+            load_checkpoint(_write(tmp_path / "v1.ckpt", _with_crc(v1)))
 
 
 def _with_crc(body):
