@@ -10,7 +10,6 @@ labels 0..K-1 to the external vocabulary {0, 1, 2, 4} at the very end.
 import itertools
 
 import numpy as np
-from scipy import ndimage
 
 from .tensor import Tensor
 
@@ -124,6 +123,9 @@ def volume_threshold_postprocess(mask, thresholds):
     for cls, thr in thresholds.items():
         if thr <= 0:
             continue
+        # imported here: scipy.ndimage would add to every command's start-up
+        from scipy import ndimage
+
         comp, n = ndimage.label(out == cls, structure=_CONN26)
         if n == 0:
             continue

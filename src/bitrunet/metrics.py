@@ -25,7 +25,6 @@ distances are the exact Euclidean ones a distance transform gives.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 # one empty and one nonempty surface: distance is undefined, report this
 HD95_EMPTY_SENTINEL = 373.1287
@@ -103,11 +102,17 @@ def specificity(pred, truth):
     return 1.0 if tn + fp == 0 else tn / (tn + fp)
 
 
-_CROSS6 = ndimage.generate_binary_structure(3, 1)
+# the centre voxel and its six face neighbours
+_CROSS6 = np.array([[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                    [[0, 1, 0], [1, 1, 1], [0, 1, 0]],
+                    [[0, 0, 0], [0, 1, 0], [0, 0, 0]]], dtype=bool)
 
 
 def surface_voxels(mask):
     """Foreground voxels with a 6-neighbor background or on the boundary."""
+    # imported here: scipy.ndimage would add to every command's start-up
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     eroded = ndimage.binary_erosion(mask, structure=_CROSS6, border_value=0)
     return mask & ~eroded

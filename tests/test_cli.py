@@ -1,7 +1,10 @@
 """End-to-end command-line workflows on synthetic data."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bitrunet
 from bitrunet.cli import _TRAIN_KEYS, _load_train_config, cli
 from bitrunet.data import cache_case, load_case, make_sphere_case
 from bitrunet.model import ModelConfig
@@ -339,6 +343,25 @@ class TestPredict(object):
         err = capsys.readouterr().err
         assert f"'e1.cbam.spatial_w' repeated at byte {at}" in err
 
+    def test_case_smaller_than_the_model_input(self, workspace, tmp_path):
+        # a 14^3 case padded to the 16^3 model: the mask, the dump and the
+        # ensemble of the dump all cover the case's own voxels
+        rec = make_sphere_case(size=14, radius=4, seed=5)
+        case = tmp_path / "small.btrc"
+        cache_case(rec, case)
+        dump, seg, voted = tmp_path / "p.f32", tmp_path / "seg.nii.gz", tmp_path / "v.nii.gz"
+        assert cli([
+            "predict",
+            "--models", str(workspace / "run" / "checkpoint_final.ckpt"),
+            "--input", str(case), "--out", str(seg), "--dump-probs", str(dump), "--tta",
+        ]) == 0
+        assert "dims: 2 14 14 14" in (tmp_path / "p.f32.hdr").read_text().splitlines()
+        assert cli(["ensemble", "--probs", str(dump), "--out", str(voted)]) == 0
+        _, a = read_nifti(seg)
+        _, b = read_nifti(voted)
+        assert a.shape == b.shape == (14, 14, 14)
+        assert np.array_equal(a, b)
+
 
 class TestEnsemble(object):
     def test_prob_dump_then_ensemble(self, workspace, tmp_path):
@@ -519,6 +542,53 @@ class TestChecks(object):
         assert "PASS  conv3d kernels at edge extents, strides and dtypes" in out
 
 
+def _scipy_modules_after(statements):
+    """Names of the scipy modules loaded after running ``statements`` in a
+    fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(bitrunet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (f"import sys, bitrunet\nassert bitrunet.__file__ == {bitrunet.__file__!r}\n"
+             f"{statements}\n"
+             "print('loaded:', *sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    return proc.stdout.splitlines()[-1].split()[1:]
+
+
+class TestStartUp(object):
+    """Which scipy modules each command loads: training needs numpy only."""
+
+    def test_train_loads_no_scipy(self, workspace, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "base_width=4\nembed_dim=16\nvit_layers=1\nheads=2\nffn_hidden=32\n"
+            "num_classes=2\ncrop_size=16\niters=2\nseed=3\naugment=1\n"
+        )
+        argv = ["train", "--data", str(workspace / "cache"),
+                "--out", str(tmp_path / "run"), "--config", str(cfg)]
+        loaded = _scipy_modules_after(
+            f"from bitrunet.cli import cli\nassert cli({argv!r}) == 0")
+        assert loaded == []
+        assert (tmp_path / "run" / "checkpoint_final.ckpt").exists()
+
+    def test_predict_loads_ndimage_and_nothing_else(self, workspace, tmp_path):
+        # postprocessing is predict's one use of scipy; scipy.ndimage itself
+        # imports scipy.special, so that comes along, but gelu adds nothing
+        argv = ["predict",
+                "--models", str(workspace / "run" / "checkpoint_final.ckpt"),
+                "--input", str(workspace / "cache" / "case1.btrc"),
+                "--out", str(tmp_path / "seg.nii.gz")]
+        loaded = _scipy_modules_after(
+            f"from bitrunet.cli import cli\nassert cli({argv!r}) == 0")
+        assert "scipy.ndimage" in loaded
+        assert loaded == _scipy_modules_after("from scipy import ndimage")
+        unpostprocessed = _scipy_modules_after(
+            f"from bitrunet.cli import cli\n"
+            f"assert cli({argv + ['--postproc-threshold', '0']!r}) == 0")
+        assert unpostprocessed == []
+
+
 class TestUsage(object):
     def test_unknown_command(self):
         assert cli(["frobnicate"]) == 1
@@ -528,3 +598,23 @@ class TestUsage(object):
 
     def test_missing_required(self):
         assert cli(["predict"]) == 1
+
+    @pytest.mark.parametrize("value", ["-1", "-50"])
+    def test_negative_postproc_threshold(self, workspace, tmp_path, capsys, value):
+        seg = tmp_path / "seg.nii.gz"
+        dump = tmp_path / "p.f32"
+        ckpt = str(workspace / "run" / "checkpoint_final.ckpt")
+        case = str(workspace / "cache" / "case1.btrc")
+        assert cli(["predict", "--models", ckpt, "--input", case, "--out", str(seg),
+                    "--dump-probs", str(dump), "--postproc-threshold", value]) == 1
+        assert "--postproc-threshold" in capsys.readouterr().err
+        assert not seg.exists() and not dump.exists()
+        assert cli(["predict", "--models", ckpt, "--input", case, "--out", str(seg),
+                    "--dump-probs", str(dump)]) == 0
+        voted = tmp_path / "voted.nii.gz"
+        assert cli(["ensemble", "--probs", str(dump), "--out", str(voted),
+                    "--postproc-threshold", value]) == 1
+        assert "--postproc-threshold" in capsys.readouterr().err
+        assert not voted.exists()
+        assert cli(["ensemble", "--probs", str(dump), "--out", str(voted),
+                    "--postproc-threshold", "0"]) == 0

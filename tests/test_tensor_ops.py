@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from bitrunet import kernels, reference
 from bitrunet.tensor import (
@@ -9,6 +10,8 @@ from bitrunet.tensor import (
     concat,
     conv3d,
     conv_transpose3d,
+    erf,
+    gelu,
     layer_norm,
     matmul,
     softmax,
@@ -168,6 +171,63 @@ class TestPointwiseAndShape:
     def test_max_axis(self):
         x = rng.standard_normal((2, 5, 3))
         assert np.array_equal(tmax(Tensor(x), axis=1, keepdims=True).data, x.max(1, keepdims=True))
+
+
+class TestErf:
+    """The numpy erf against scipy.special.erf, its oracle."""
+
+    def test_float64_grid_within_one_ulp(self):
+        # both branches, the 1 and 6 switch points and both tails
+        x = np.linspace(-30.0, 30.0, 2_000_001)
+        got, want = erf(x), scipy_erf(x)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_switch_points_within_one_ulp(self):
+        edges = np.array([1.0, 6.0])
+        x = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 7.0)])
+        x = np.concatenate([x, -x])
+        got, want = erf(x), scipy_erf(x)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_special_values_bit_equal(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                      np.finfo(np.float64).smallest_normal * 0.75, -1e-310,
+                      1e300, -1e300])
+        got, want = erf(x), scipy_erf(x)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[2:4].tolist() == [1.0, -1.0]
+        assert np.isnan(got[4])
+
+    def test_float32_subnormals_bit_equal(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array([tiny, -tiny, tiny * 1000, -np.finfo(np.float32).smallest_normal / 3],
+                     dtype=np.float32)
+        assert np.array_equal(erf(x).view(np.uint32), scipy_erf(x).view(np.uint32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_returns_the_input_dtype_and_shape(self, dtype):
+        x = rng.standard_normal((3, 4, 5)).astype(dtype)
+        for arg in (x, x[:, ::2, 1:], x[0, 0, 0], x[:0]):
+            got = erf(arg)
+            assert (got.dtype, got.shape) == (np.dtype(dtype), np.shape(arg))
+            assert np.array_equal(got, scipy_erf(arg))
+
+    def test_float32_normal_samples_bit_equal(self):
+        # 1.25 M samples: more than one block, and a partial last block
+        x = np.random.default_rng(7).standard_normal(1_250_003).astype(np.float32)
+        got, want = erf(x), scipy_erf(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_gelu_stays_float32(self):
+        x = Tensor(rng.standard_normal((2, 8, 16)).astype(np.float32))
+        y = gelu(x).data
+        want = x.data * (0.5 * (1.0 + scipy_erf(x.data / np.float32(np.sqrt(2.0)))))
+        assert y.dtype == np.float32
+        assert np.allclose(y, want, rtol=1e-6, atol=1e-7)
 
 
 class TestAdjointness:
