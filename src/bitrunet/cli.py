@@ -37,7 +37,14 @@ from .inference import (
     tta_predict,
     volume_threshold_postprocess,
 )
-from .metrics import REGIONS, evaluate_case, format_report, hd95
+from .metrics import (
+    REGIONS,
+    check_labels,
+    evaluate_case,
+    format_report,
+    hd95,
+    surface_voxels,
+)
 from .model import BiTrUnetModel, ModelConfig, parse_key_values
 from .nifti import NiftiError, read_nifti, write_nifti
 from .training import TrainConfig, train_loop
@@ -227,7 +234,15 @@ def _read_prob_dump(path):
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != math.prod(dims):
         raise ProbDumpError(f"{path}: payload has {raw.size} floats, header says {dims}")
-    return raw.reshape(dims), spacing
+    probs = raw.reshape(dims)
+    # a NaN makes min() NaN, which compares false
+    if not (probs.min() >= 0 and probs.max() < math.inf):
+        index = np.unravel_index(np.argmax(~((probs >= 0) & (probs < math.inf))), dims)
+        raise ProbDumpError(
+            f"{path}: value {probs[index]} at (class, h, w, d) = "
+            f"{tuple(int(i) for i in index)} is not a finite probability of 0 or more"
+        )
+    return probs, spacing
 
 
 def _thresholds(et_threshold):
@@ -247,6 +262,7 @@ def _cmd_preprocess(args):
     label = None
     if args.label:
         _, label_data = read_nifti(args.label)
+        check_labels(label_data, args.label)  # before a cast could wrap a label
         label = np.asarray(label_data, dtype=np.uint8)
     record = CaseRecord(case_id=args.case_id, volume=vol, label=label)
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -296,6 +312,15 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     models = [load_checkpoint(p) for p in args.models]
+    first = models[0].config
+    for path, model in zip(args.models[1:], models[1:]):
+        for field in ("in_channels", "num_classes", "input_size"):
+            mine, theirs = getattr(first, field), getattr(model.config, field)
+            if mine != theirs:
+                raise ValueError(
+                    f"{args.models[0]} has {field}={mine} but {path} has "
+                    f"{field}={theirs}; every checkpoint must agree"
+                )
     record = _load_input_case(args.input)
     target = models[0].config.input_size
     data, region = pad_to_shape(record.volume.data, target)
@@ -529,6 +554,19 @@ def _cmd_selftest(args):
                     return False
         return True
 
+    def surface_oracle():
+        # masks that fill the array or touch every face, and extents of 1:
+        # a boundary voxel is a surface voxel even when its mask fills that
+        # axis, so padding the erosion with foreground would fail here
+        masks = [np.ones(shape, dtype=bool)
+                 for shape in ((1, 1, 1), (1, 4, 3), (3, 1, 1), (4, 5, 6))]
+        for shape in ((1, 5, 4), (5, 1, 2), (2, 3, 6), (6, 6, 6)):
+            m = rng.random(shape) < 0.7
+            m[0, 0, 0] = m[-1, -1, -1] = True
+            masks.append(m)
+        return all(np.array_equal(surface_voxels(m), reference.brute_force_surface(m))
+                   for m in masks)
+
     def crop_vs_full():
         # small labelled blobs in [1, 9)^3 of a 12^3 volume: the joint box
         # lies strictly inside, so evaluate_case scores a real crop
@@ -592,6 +630,7 @@ def _cmd_selftest(args):
     run("erf vs math.erf", erf_vs_math)
     run("majority vote vs brute force", vote_oracle)
     run("postprocess vs flood fill", postproc_oracle)
+    run("surface voxels vs brute-force oracle", surface_oracle)
     run("hd95 vs all-pairs oracle", hd95_oracle)
     run("evaluate_case on crop vs full-volume metrics", crop_vs_full)
     run("file format roundtrips", roundtrips)

@@ -6,16 +6,17 @@ import struct
 import subprocess
 import sys
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bitrunet
+from bitrunet.checkpoint import load_checkpoint, save_checkpoint
 from bitrunet.cli import _TRAIN_KEYS, _load_train_config, cli
 from bitrunet.data import cache_case, load_case, make_sphere_case
-from bitrunet.model import ModelConfig
+from bitrunet.model import BiTrUnetModel, ModelConfig
 from bitrunet.nifti import read_nifti, write_nifti
 from bitrunet.training import TrainConfig
 
@@ -85,6 +86,28 @@ class TestPreprocess(object):
         assert "spacing" in err
         assert str(paths["t1"]) in err and str(paths["t2"]) in err
         assert not (tmp_path / "c.btrc").exists()
+
+    @pytest.mark.parametrize("value, dtype", [(260, np.int16), (2.7, np.float32),
+                                              (-1, np.int16)])
+    def test_label_outside_vocabulary_is_data_error(self, tmp_path, capsys, value, dtype):
+        # a uint8 cast would store these as 4, 2 and 255
+        paths = {}
+        for m in ("t1", "t1c", "t2", "flair"):
+            paths[m] = tmp_path / f"{m}.nii.gz"
+            write_nifti(paths[m], np.ones((4, 4, 4), np.float32))
+        label = np.zeros((4, 4, 4), dtype=dtype)
+        label[1:3, 1:3, 1:3] = 2
+        label[2, 3, 1] = value
+        paths["label"] = tmp_path / "seg.nii.gz"
+        write_nifti(paths["label"], label)
+        out = tmp_path / "c.btrc"
+        args = ["preprocess", "--case-id", "c", "--out", str(out)]
+        for m, path in paths.items():
+            args += [f"--{m}", str(path)]
+        assert cli(args) == 2
+        err = capsys.readouterr().err
+        assert f"{paths['label']}: label {value} is not one of 0, 1, 2, 4" in err
+        assert not out.exists()
 
 
 class TestTrain(object):
@@ -343,6 +366,23 @@ class TestPredict(object):
         err = capsys.readouterr().err
         assert f"'e1.cbam.spatial_w' repeated at byte {at}" in err
 
+    @pytest.mark.parametrize("field, value", [("in_channels", 2), ("num_classes", 4),
+                                              ("input_size", (32, 32, 32))])
+    def test_checkpoints_that_disagree_are_data_error(self, workspace, tmp_path, capsys,
+                                                      field, value):
+        first = workspace / "run" / "checkpoint_final.ckpt"
+        cfg = replace(load_checkpoint(first).config, **{field: value})
+        other = tmp_path / "other.ckpt"
+        save_checkpoint(BiTrUnetModel(cfg, seed=0, dtype=np.float32), other)
+        seg = tmp_path / "seg.nii.gz"
+        assert cli(["predict", "--models", str(first), str(other),
+                    "--input", str(workspace / "cache" / "case1.btrc"),
+                    "--out", str(seg)]) == 2
+        err = capsys.readouterr().err
+        mine = getattr(load_checkpoint(first).config, field)
+        assert f"{first} has {field}={mine} but {other} has {field}={value};" in err
+        assert not seg.exists()
+
     def test_case_smaller_than_the_model_input(self, workspace, tmp_path):
         # a 14^3 case padded to the 16^3 model: the mask, the dump and the
         # ensemble of the dump all cover the case's own voxels
@@ -415,6 +455,33 @@ class TestEnsemble(object):
         voted = tmp_path / "voted.nii.gz"
         assert cli(["ensemble", "--probs", str(dump), "--out", str(voted)]) == 0
         assert read_nifti(voted)[0].spacing == read_nifti(direct)[0].spacing == (1.5, 1.0, 2.0)
+
+
+    @pytest.mark.parametrize("value, where", [
+        (np.nan, (0, 3, 4, 5)), (-5.0, (1, 0, 0, 0)), (-5.0, (1, 15, 15, 15)),
+        (np.inf, (1, 2, 2, 2)),
+    ])
+    def test_dump_that_is_not_probabilities_is_data_error(self, workspace, tmp_path,
+                                                          capsys, value, where):
+        dump = tmp_path / "p.f32"
+        assert cli([
+            "predict",
+            "--models", str(workspace / "run" / "checkpoint_final.ckpt"),
+            "--input", str(workspace / "cache" / "case1.btrc"),
+            "--out", str(tmp_path / "direct.nii.gz"), "--dump-probs", str(dump),
+        ]) == 0
+        probs = np.fromfile(dump, dtype="<f4").reshape(2, 16, 16, 16)
+        if value == -5.0:
+            probs[where[0]] = value  # one class negative everywhere
+        else:
+            probs[where] = value
+        probs.tofile(dump)
+        voted = tmp_path / "voted.nii.gz"
+        assert cli(["ensemble", "--probs", str(dump), "--out", str(voted)]) == 2
+        err = capsys.readouterr().err
+        first = (where[0], 0, 0, 0) if value == -5.0 else where
+        assert f"{dump}: value {value} at (class, h, w, d) = {first} is not" in err
+        assert not voted.exists()
 
 
 class TestEvaluate(object):
@@ -587,6 +654,24 @@ class TestStartUp(object):
             f"from bitrunet.cli import cli\n"
             f"assert cli({argv + ['--postproc-threshold', '0']!r}) == 0")
         assert unpostprocessed == []
+
+
+    def test_evaluate_loads_no_ndimage(self, tmp_path):
+        # the surface erosion is numpy's; only the k-d tree comes from scipy
+        dirs = {k: tmp_path / k for k in ("pred", "truth")}
+        mask = np.zeros((8, 8, 8), dtype=np.uint8)
+        mask[2:6, 2:6, 2:6] = 2
+        mask[3:5, 3:5, 3:5] = 4
+        for d in dirs.values():
+            d.mkdir()
+            write_nifti(d / "case1.nii.gz", mask)
+        argv = ["evaluate", "--pred", str(dirs["pred"]), "--truth", str(dirs["truth"]),
+                "--out", str(tmp_path / "report.tsv")]
+        loaded = _scipy_modules_after(
+            f"from bitrunet.cli import cli\nassert cli({argv!r}) == 0")
+        assert "scipy.spatial" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.ndimage")]
+        assert (tmp_path / "report.tsv").exists()
 
 
 class TestUsage(object):

@@ -374,6 +374,116 @@ class TestHd95NearestSurface:
         assert out == [bitrunet.__file__, "[]"]
 
 
+def _faces_touched(mask):
+    return [bool(np.take(mask, i, axis=a).any()) for a in range(3) for i in (0, -1)]
+
+
+class TestSurfaceVoxelsOracle:
+    """The padded-box erosion against the direct definition, where the
+    volume's boundary counts as background."""
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 5), (2, 1, 3), (2, 2, 2),
+                                       (1, 7, 4), (3, 5, 7), (9, 2, 5)])
+    def test_full_and_random_masks(self, shape, dtype):
+        full = np.ones(shape, dtype=dtype)
+        assert np.array_equal(surface_voxels(full), reference.brute_force_surface(full))
+        assert surface_voxels(full).all() == (min(shape) <= 2)
+        for density in (0.3, 0.8):
+            m = (rng.random(shape) < density).astype(dtype)
+            got = surface_voxels(m)
+            assert got.dtype == bool and got.shape == shape
+            assert np.array_equal(got, reference.brute_force_surface(m))
+
+    def test_mask_touching_every_face(self):
+        m = np.zeros((7, 6, 5), dtype=np.uint8)
+        m[:, 1:5, 1:4] = 1  # the two x faces
+        m[2:5, :, 2] = 1    # the two y faces
+        m[3, 3, :] = 1      # the two z faces
+        assert all(_faces_touched(m))
+        got = surface_voxels(m)
+        assert np.array_equal(got, reference.brute_force_surface(m))
+        assert got[0, 2, 2] and got[6, 2, 2] and not got[3, 2, 2]
+
+    def test_strided_view_of_a_larger_array(self):
+        m = rng.random((9, 8, 10)) < 0.7
+        view = m[1:8, ::2, 9:0:-3]
+        assert np.array_equal(surface_voxels(view), reference.brute_force_surface(view))
+
+
+def _isin_evaluate_case(pred_mask, truth_mask, spacing):
+    """evaluate_case as formulated before its counts were shared: np.isin
+    region masks, scipy.ndimage erosion, median-split k-d trees, and Dice,
+    sensitivity and specificity each counted on their own."""
+    from scipy.spatial import KDTree
+
+    cross = ndimage.generate_binary_structure(3, 1)
+
+    def surface(m):
+        return m & ~ndimage.binary_erosion(m, structure=cross, border_value=0)
+
+    def box_of(nonzero):
+        box = []
+        for axis in range(3):
+            hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(3) if a != axis)))
+            if hit.size == 0:
+                return (slice(0, 0),) * 3
+            box.append(slice(hit[0], hit[-1] + 1))
+        return tuple(box)
+
+    def old_hd95(p, t):
+        box = box_of(p | t)
+        scale = np.asarray(spacing, dtype=np.float64)
+        ps = np.argwhere(surface(p[box])) * scale
+        ts = np.argwhere(surface(t[box])) * scale
+        if len(ps) == 0 and len(ts) == 0:
+            return 0.0
+        if len(ps) == 0 or len(ts) == 0:
+            return HD95_EMPTY_SENTINEL
+        d = np.concatenate([KDTree(ts).query(ps)[0], KDTree(ps).query(ts)[0]])
+        return float(np.percentile(d, 95))
+
+    box = box_of((pred_mask != 0) | (truth_mask != 0))
+    out = {}
+    for region in REGIONS:
+        p = np.isin(pred_mask[box], sorted(region.labels))
+        t = np.isin(truth_mask[box], sorted(region.labels))
+        n_p, n_t = int(p.sum()), int(t.sum())
+        tp = int((p & t).sum())
+        fp = int((p & ~t).sum())
+        fn = int((~p & t).sum())
+        tn = pred_mask.size - tp - fp - fn
+        out[region.name] = {
+            "dice": 1.0 if n_p + n_t == 0 else 2.0 * tp / (n_p + n_t),
+            "hd95": old_hd95(p, t),
+            "sensitivity": 1.0 if tp + fn == 0 else tp / (tp + fn),
+            "specificity": 1.0 if tn + fp == 0 else tn / (tn + fp),
+        }
+    return out
+
+
+class TestEvaluateCaseFormulation:
+    """Counting once, comparing labels, the numpy erosion and sliding-midpoint
+    trees change no bit of any score on BraTS-sized cases."""
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.2, 0.8)])
+    def test_brats_sized_shells_equal_the_isin_formulation(self, spacing):
+        shape = (240, 240, 155)
+        truth = shells(shape, (118, 123, 76), (36, 19, 9))
+        pairs = [
+            (shells(shape, (121, 123, 76), (35, 20, 8)), truth),  # shifted, resized
+            (shells(shape, (118, 120, 78), (36, 19, 9)), truth),  # pure shift
+            (shells(shape, (118, 123, 74), (36, 19, 0)), truth),  # no enhancing tumor
+        ]
+        pairs[2][0][pairs[2][0] == 4] = 1
+        for pred, truth in pairs:
+            got = evaluate_case(pred, truth, spacing=spacing)
+            assert got == _isin_evaluate_case(pred, truth, spacing)
+            for scores in got.values():
+                for value in scores.values():
+                    assert type(value) is float
+
+
 class TestSummarize:
     def test_single_case(self):
         s = summarize([0.7])
