@@ -292,12 +292,20 @@ def _cmd_train(args):
                 f"{f}: internal labels 0..{label.max()} do not fit "
                 f"num_classes={model_cfg.num_classes}"
             )
-        if not train_cfg.augment and rec.volume.data.shape[1:] != model_cfg.input_size:
+        # augmentation crops at random; without it the case is the crop
+        shape, crop = rec.volume.data.shape[1:], model_cfg.input_size
+        aug = train_cfg.augment
+        if not (all(s >= c for s, c in zip(shape, crop)) if aug else shape == crop):
             raise ValueError(
-                f"{f}: volume {rec.volume.data.shape[1:]} does not match model "
-                f"input {model_cfg.input_size} and augmentation is off"
+                f"{f}: volume {shape} must be {'at least' if aug else 'exactly'} "
+                f"the crop {crop} on every axis with augment={aug}"
             )
         dataset.append((rec.volume.data, label))
+    if not 2 <= model_cfg.num_classes <= len(EXTERNAL_LABELS):
+        raise ValueError(
+            f"{args.config}: num_classes={model_cfg.num_classes} is outside "
+            f"2..{len(EXTERNAL_LABELS)}"
+        )
     model = BiTrUnetModel(model_cfg, seed=train_cfg.seed, dtype=np.float32)
     history = train_loop(model, dataset, train_cfg, out_dir=args.out)
     if history:
@@ -313,6 +321,11 @@ def _cmd_train(args):
 def _cmd_predict(args):
     models = [load_checkpoint(p) for p in args.models]
     first = models[0].config
+    if first.num_classes > len(EXTERNAL_LABELS):
+        raise ValueError(
+            f"{args.models[0]}: num_classes={first.num_classes} exceeds the "
+            f"{len(EXTERNAL_LABELS)} output labels"
+        )
     for path, model in zip(args.models[1:], models[1:]):
         for field in ("in_channels", "num_classes", "input_size"):
             mine, theirs = getattr(first, field), getattr(model.config, field)

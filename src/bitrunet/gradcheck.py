@@ -10,6 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import group_norm
+from .training import TrainConfig, loss_terms
 
 
 def finite_difference_grad(f, x, h=1e-4):
@@ -87,11 +88,6 @@ def _suite_builders():
         p = _probe(rng, (3, 4))
         return [a, b], lambda: p(T.add(a, b))
 
-    def b_sub(rng):
-        a, b = _rand(rng, (2, 3, 4)), _rand(rng, (3, 1))
-        p = _probe(rng, (2, 3, 4))
-        return [a, b], lambda: p(T.sub(a, b))
-
     def b_mul(rng):
         a, b = _rand(rng, (3, 4)), _rand(rng, (3, 1))
         p = _probe(rng, (3, 4))
@@ -127,16 +123,6 @@ def _suite_builders():
         x = _rand(rng, (4, 5), -3.0, 3.0)
         p = _probe(rng, (4, 5))
         return [x], lambda: p(T.sigmoid(x))
-
-    def b_exp(rng):
-        x = _rand(rng, (3, 4))
-        p = _probe(rng, (3, 4))
-        return [x], lambda: p(T.exp(x))
-
-    def b_log(rng):
-        x = T.Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
-        p = _probe(rng, (3, 4))
-        return [x], lambda: p(T.log(x))
 
     def b_softmax(rng):
         x = _rand(rng, (3, 5), -2.0, 2.0)
@@ -217,9 +203,17 @@ def _suite_builders():
         p = _probe(rng, (3, 1, 2))
         return [x], lambda: p(T.tmax(x, axis=1, keepdims=True))
 
+    def loss_builder(classes):
+        # batch 2, random labels, unequal weights so each term is checked
+        def build(rng):
+            scores = _rand(rng, (2, classes, 2, 3, 2), -2.0, 2.0)
+            target = rng.integers(0, classes, (2, 2, 3, 2))
+            cfg = TrainConfig(w_ce=0.7, w_dice=1.3)
+            return [scores], lambda: loss_terms(scores, target, cfg)[0]
+        return build
+
     return {
         "add": b_add,
-        "sub": b_sub,
         "mul": b_mul,
         "div": b_div,
         "matmul": b_matmul,
@@ -227,8 +221,6 @@ def _suite_builders():
         "relu": b_relu,
         "gelu": b_gelu,
         "sigmoid": b_sigmoid,
-        "exp": b_exp,
-        "log": b_log,
         "softmax": b_softmax,
         "layer_norm": b_layer_norm,
         # 2 groups of 2 channels; a cap of 4 on 6 channels falls back to 3 groups
@@ -244,6 +236,8 @@ def _suite_builders():
         "sum_axis": b_sum_axis,
         "sum_axes": b_sum_axes,
         "max_axis": b_max_axis,
+        "loss_2_classes": loss_builder(2),
+        "loss_4_classes": loss_builder(4),
     }
 
 

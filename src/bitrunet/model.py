@@ -177,7 +177,7 @@ def group_norm(x, gamma, beta, groups, eps=1e-5):
                 dxh = (gy * gd).reshape(grouped)
                 dx = _norm_input_grad(dxh, xhat.reshape(grouped), inv)
                 _accum(x, dx.reshape(x.shape))
-        _record((x, gamma, beta), out, rule)
+        _record(out, rule)
     return out
 
 

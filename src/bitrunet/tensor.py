@@ -67,12 +67,13 @@ class Tensor:
 
 
 class Node:
-    """One recorded operation: input/output references plus a backward rule."""
+    """One recorded operation: its output, whose ``.grad`` is the upstream
+    gradient, and the backward rule that passes it on. The rule itself
+    holds the operands it accumulates into and the arrays it reads."""
 
-    __slots__ = ("inputs", "output", "rule")
+    __slots__ = ("output", "rule")
 
-    def __init__(self, inputs, output, rule):
-        self.inputs = inputs
+    def __init__(self, output, rule):
         self.output = output
         self.rule = rule
 
@@ -124,9 +125,9 @@ def _recording(*tensors):
     )
 
 
-def _record(inputs, output, rule):
+def _record(output, rule):
     output.requires_grad = True
-    _ACTIVE_TAPE.nodes.append(Node(inputs, output, rule))
+    _ACTIVE_TAPE.nodes.append(Node(output, rule))
 
 
 def _accum(t, g):
@@ -166,20 +167,7 @@ def add(a, b):
                 _accum(a, _unbroadcast(gy, a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(gy, b.shape))
-        _record((a, b), out, rule)
-    return out
-
-
-def sub(a, b):
-    b = _as_tensor(b, a)
-    out = Tensor(a.data - b.data)
-    if _recording(a, b):
-        def rule(gy):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(gy, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-gy, b.shape))
-        _record((a, b), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -193,7 +181,7 @@ def mul(a, b):
                 _accum(a, _unbroadcast(gy * bd, a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(gy * ad, b.shape))
-        _record((a, b), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -207,7 +195,7 @@ def div(a, b):
                 _accum(a, _unbroadcast(gy / bd, a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(-gy * ad / (bd * bd), b.shape))
-        _record((a, b), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -229,7 +217,7 @@ def matmul(a, b):
                 _accum(a, _unbroadcast(np.matmul(gy, bd.swapaxes(-1, -2)), a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), gy), b.shape))
-        _record((a, b), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -243,7 +231,7 @@ def relu(x):
         mask = x.data > 0
         def rule(gy):
             _accum(x, gy * mask)
-        _record((x,), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -340,7 +328,7 @@ def gelu(x):
         def rule(gy):
             pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
             _accum(x, gy * (cdf + xd * pdf))
-        _record((x,), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -350,27 +338,7 @@ def sigmoid(x):
         y = out.data
         def rule(gy):
             _accum(x, gy * y * (1.0 - y))
-        _record((x,), out, rule)
-    return out
-
-
-def exp(x):
-    out = Tensor(np.exp(x.data))
-    if _recording(x):
-        y = out.data
-        def rule(gy):
-            _accum(x, gy * y)
-        _record((x,), out, rule)
-    return out
-
-
-def log(x):
-    out = Tensor(np.log(x.data))
-    if _recording(x):
-        xd = x.data
-        def rule(gy):
-            _accum(x, gy / xd)
-        _record((x,), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -385,7 +353,7 @@ def softmax(x, axis):
         y = out.data
         def rule(gy):
             _accum(x, y * (gy - (gy * y).sum(axis=axis, keepdims=True)))
-        _record((x,), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -432,7 +400,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
                 _accum(beta, gy.sum(axis=lead))
             if x.requires_grad:
                 _accum(x, _norm_input_grad(gy * gamma.data, xhat, inv))
-        _record((x, gamma, beta), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -487,7 +455,7 @@ def conv3d(x, weight, bias, stride=1):
             if weight.requires_grad:
                 _accum(weight, kernels.conv3d_weight_grad(xd, gy, stride, 1, _KERNEL))
             _accum_bias(bias, gy)
-        _record((x, weight, bias), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -519,7 +487,7 @@ def conv_transpose3d(x, weight, bias, stride=1, output_size=None):
             if weight.requires_grad:
                 _accum(weight, kernels.conv3d_weight_grad(gy, xd, stride, 1, _KERNEL))
             _accum_bias(bias, gy)
-        _record((x, weight, bias), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -540,7 +508,7 @@ def concat(xs, axis):
         def rule(gy):
             for t, g in zip(xs, np.split(gy, splits, axis=axis)):
                 _accum(t, g)
-        _record(tuple(xs), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -550,7 +518,7 @@ def reshape(x, shape):
         old = x.shape
         def rule(gy):
             _accum(x, gy.reshape(old))
-        _record((x,), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -560,7 +528,7 @@ def transpose_last2(x):
     if _recording(x):
         def rule(gy):
             _accum(x, gy.swapaxes(-1, -2))
-        _record((x,), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -577,7 +545,7 @@ def tsum(x, axis=None, keepdims=False):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accum(x, np.broadcast_to(g, x.shape).copy())
-        _record((x,), out, rule)
+        _record(out, rule)
     return out
 
 
@@ -593,5 +561,5 @@ def tmax(x, axis, keepdims=False):
             gk = gy if keepdims else np.expand_dims(gy, axis)
             np.put_along_axis(g, np.expand_dims(idx, axis), gk, axis)
             _accum(x, g)
-        _record((x,), out, rule)
+        _record(out, rule)
     return out

@@ -6,8 +6,9 @@ The loop writes one tab-separated log line per iteration
 and single-threaded execution two runs produce bit-identical checkpoints.
 """
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +46,12 @@ class TrainConfig:
     scale_max: float = 1.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
         for name, low in (("iters", 0), ("batch_size", 1), ("grad_accum", 1),
                           ("checkpoint_every", 0)):
             value = getattr(self, name)
@@ -136,20 +143,8 @@ def augment(image, label, crop, cfg, rng):
 # ---------------------------------------------------------------------------
 
 def _one_hot(target, k, dtype):
-    # (N, H, W, D) int -> (N, K, H, W, D) indicator
-    oh = np.zeros((target.shape[0], k) + target.shape[1:], dtype=dtype)
-    for c in range(k):
-        oh[:, c] = target == c
-    return oh
-
-
-def loss_terms(scores, target, cfg):
-    """Total loss plus its cross-entropy and Dice components (all Tensors).
-
-    ``scores`` is (N, K, H, W, D) raw class scores, ``target`` an integer
-    array (N, H, W, D) of labels in [0, K); ``cfg`` gives the weights.
-    """
-    k = scores.shape[1]
+    """(N, K, H, W, D) class indicator of the labels ``target``, (N, H, W, D)
+    or a single (H, W, D) case."""
     target = np.asarray(target)
     if target.ndim == 3:
         target = target[None]
@@ -157,49 +152,70 @@ def loss_terms(scores, target, cfg):
         raise ValueError(
             f"target labels outside [0, {k}): found {target.min()}..{target.max()}"
         )
-    onehot = T.Tensor(_one_hot(target, k, scores.dtype))
+    oh = np.zeros((target.shape[0], k) + target.shape[1:], dtype=dtype)
+    for c in range(k):
+        oh[:, c] = target == c
+    return oh
 
-    # stable log-softmax over the class axis; the max is a constant shift
-    shift = T.Tensor(scores.data.max(axis=1, keepdims=True))
-    z = T.sub(scores, shift)
-    lse = T.add(T.log(T.tsum(T.exp(z), axis=1, keepdims=True)), shift)
-    logp = T.sub(scores, lse)
 
-    n_vox = target.size
-    ce = T.mul(T.tsum(T.mul(logp, onehot)), -1.0 / n_vox)
-
-    p = T.exp(logp)
+def _softmax_dice(scores, onehot):
+    """Log-softmax over the class axis of the raw ``scores``, its softmax,
+    and each class's soft Dice with its denominator, all in the scores'
+    dtype."""
+    logp = scores - scores.max(axis=1, keepdims=True)
+    p = np.exp(logp)
+    norm = p.sum(axis=1, keepdims=True)
+    p /= norm
+    logp -= np.log(norm)
     axes = (0, 2, 3, 4)
-    inter = T.tsum(T.mul(p, onehot), axis=axes)
-    p_sum = T.tsum(p, axis=axes)
-    t_sum = T.Tensor(onehot.data.sum(axis=axes))
-    dice_per_class = T.div(
-        T.add(T.mul(inter, 2.0), DICE_EPS), T.add(T.add(p_sum, t_sum), DICE_EPS)
-    )
-    fg = np.ones(k, dtype=scores.dtype)
-    fg[0] = 0.0
-    mean_fg = T.mul(T.tsum(T.mul(dice_per_class, T.Tensor(fg))), 1.0 / (k - 1))
-    dice_loss = T.sub(T.Tensor(np.asarray(1.0, dtype=scores.dtype)), mean_fg)
-
-    total = T.add(T.mul(ce, cfg.w_ce), T.mul(dice_loss, cfg.w_dice))
-    return total, ce, dice_loss
+    den = p.sum(axis=axes) + onehot.sum(axis=axes) + DICE_EPS
+    dice = (2.0 * (p * onehot).sum(axis=axes) + DICE_EPS) / den
+    return logp, p, dice, den
 
 
-def soft_dice_score(scores_data, target, num_classes, eps=DICE_EPS):
+def loss_terms(scores, target, cfg):
+    """Total loss plus its cross-entropy and Dice components, one tape op.
+
+    ``scores`` is a (N, K, H, W, D) Tensor of raw class scores, ``target``
+    an integer array (N, H, W, D) of labels in [0, K); ``cfg`` gives the
+    weights. ``total = w_ce * ce + w_dice * dice_loss``, where ``ce`` is the
+    mean over voxels of -log p[target] and ``dice_loss`` is 1 minus the mean
+    soft Dice (2 I_c + eps) / den_c of the K - 1 foreground classes, with
+    I_c = sum p_c t_c and den_c = sum p_c + sum t_c + eps (Milletari et al.,
+    V-Net 2016). Only ``total`` is recorded; ``ce`` and ``dice_loss`` are
+    plain Tensors. The rule puts the analytic gradient into ``scores``:
+    ``w_ce * (p - t) / n_vox`` for the cross-entropy, and for the Dice term
+    ``g_p[c] = -w_dice / (K - 1) * (2 t_c - dice_c) / den_c`` on each
+    foreground class (0 on the background), through the softmax as
+    ``p * (g_p - sum_c p g_p)``.
+    """
+    k = scores.shape[1]
+    if k < 2:
+        raise ValueError(f"the loss needs at least 2 classes, got {k}")
+    onehot = _one_hot(target, k, scores.dtype)
+    logp, p, dice, den = _softmax_dice(scores.data, onehot)
+    n_vox = logp.size // k
+    ce = -(logp * onehot).sum() / n_vox
+    dice_loss = 1.0 - dice[1:].sum() / (k - 1)
+    total = T.Tensor(cfg.w_ce * ce + cfg.w_dice * dice_loss)
+    if T._recording(scores):
+        coef = np.zeros_like(den)
+        coef[1:] = -cfg.w_dice / (k - 1) / den[1:]
+        coef = coef.reshape(1, k, 1, 1, 1)
+        def rule(gy):
+            g_p = coef * (2.0 * onehot - dice.reshape(coef.shape))
+            g = p * (g_p - (p * g_p).sum(axis=1, keepdims=True))
+            g += cfg.w_ce / n_vox * (p - onehot)
+            g *= gy
+            T._accum(scores, g)
+        T._record(total, rule)
+    return total, T.Tensor(ce), T.Tensor(dice_loss)
+
+
+def soft_dice_score(scores_data, target, num_classes):
     """Mean soft Dice over foreground classes, from raw score arrays."""
-    z = scores_data - scores_data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    target = np.asarray(target)
-    if target.ndim == 3:
-        target = target[None]
-    vals = []
-    for c in range(1, num_classes):
-        t = (target == c).astype(p.dtype)
-        inter = float((p[:, c] * t).sum())
-        denom = float(p[:, c].sum() + t.sum())
-        vals.append((2.0 * inter + eps) / (denom + eps))
-    return float(np.mean(vals))
+    onehot = _one_hot(target, num_classes, scores_data.dtype)
+    return float(_softmax_dice(scores_data, onehot)[2][1:].mean())
 
 
 # ---------------------------------------------------------------------------

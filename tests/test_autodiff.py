@@ -21,7 +21,6 @@ from bitrunet.tensor import (
     mul,
     relu,
     sigmoid,
-    sub,
     tsum,
 )
 
@@ -132,7 +131,7 @@ class TestOpGradientSuite:
 class TestDeadGradients:
     """A binary op's rule computes no gradient for an operand that needs none."""
 
-    @pytest.mark.parametrize("op", [add, sub, mul, div, matmul])
+    @pytest.mark.parametrize("op", [add, mul, div, matmul])
     @pytest.mark.parametrize("needs", [(True, False), (False, True)])
     def test_only_needed_operands_get_a_gradient_expression(self, monkeypatch, op, needs):
         shapes = []

@@ -148,6 +148,45 @@ class TestTrain(object):
         assert str(workspace / "cache" / "case1.btrc") in capsys.readouterr().err
         assert not run.exists() or not any(run.iterdir())
 
+    @pytest.mark.parametrize("num_classes", [1, 5])
+    def test_num_classes_outside_the_labels_is_data_error(self, tmp_path, capsys,
+                                                          num_classes):
+        # an all-background case fits any num_classes, so only the range
+        # check stands between 1 (a loss over no foreground class) or 5 (a
+        # class with no output label) and a run
+        rec = make_sphere_case(size=16, radius=5, seed=21)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache_case(replace(rec, label=np.zeros_like(rec.label)), cache / "bg.btrc")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "base_width=4\nembed_dim=16\nvit_layers=1\nheads=2\n"
+            f"num_classes={num_classes}\ncrop_size=16\niters=2\naugment=0\n"
+        )
+        run = tmp_path / "run"
+        code = cli(["train", "--data", str(cache), "--out", str(run),
+                    "--config", str(cfg)])
+        assert code == 2
+        assert f"{cfg}: num_classes={num_classes} is outside 2..4" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_case_smaller_than_the_crop_is_data_error(self, workspace, tmp_path, capsys):
+        # the workspace case is 16^3; augmentation crops 32^3 from it
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "base_width=4\nembed_dim=16\nvit_layers=1\nheads=2\n"
+            "num_classes=2\ncrop_size=32\niters=2\naugment=1\n"
+        )
+        run = tmp_path / "run"
+        run.mkdir()
+        code = cli(["train", "--data", str(workspace / "cache"), "--out", str(run),
+                    "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(workspace / "cache" / "case1.btrc") in err
+        assert "(16, 16, 16) must be at least the crop (32, 32, 32)" in err
+        assert list(run.iterdir()) == []
+
 
 # every train-file key with its default: a changed default changes what an
 # existing train file means
@@ -214,6 +253,21 @@ class TestTrainConfig(object):
         assert code == 2
         assert key in capsys.readouterr().err
         assert not list(tmp_path.glob("**/*.ckpt"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("w_ce", "nan"), ("w_dice", "inf"), ("base_lr", "inf"), ("base_lr", "-1"),
+        ("base_lr", "0"), ("power", "nan"), ("shift", "-inf"), ("scale_max", "inf"),
+    ])
+    def test_bad_float_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        # nan or inf trains to nan checkpoints, and a negative rate ascends
+        settings = dict(base_width=4, embed_dim=16, vit_layers=1, heads=2,
+                        num_classes=2, crop_size=16, iters=2, augment=0)
+        settings[key] = value
+        text = "".join(f"{k}={v}\n" for k, v in settings.items())
+        code, run = self._train(workspace, tmp_path, text)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not run.exists()
 
     def _train(self, workspace, tmp_path, text):
         cfg = tmp_path / "train.cfg"
@@ -381,6 +435,20 @@ class TestPredict(object):
         err = capsys.readouterr().err
         mine = getattr(load_checkpoint(first).config, field)
         assert f"{first} has {field}={mine} but {other} has {field}={value};" in err
+        assert not seg.exists()
+
+    def test_checkpoint_with_more_classes_than_labels_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        cfg = replace(load_checkpoint(workspace / "run" / "checkpoint_final.ckpt").config,
+                      num_classes=5)
+        ckpt = tmp_path / "five.ckpt"
+        save_checkpoint(BiTrUnetModel(cfg, seed=0, dtype=np.float32), ckpt)
+        seg = tmp_path / "seg.nii.gz"
+        assert cli(["predict", "--models", str(ckpt),
+                    "--input", str(workspace / "cache" / "case1.btrc"),
+                    "--out", str(seg)]) == 2
+        assert f"{ckpt}: num_classes=5 exceeds the 4 output labels" in capsys.readouterr().err
         assert not seg.exists()
 
     def test_case_smaller_than_the_model_input(self, workspace, tmp_path):

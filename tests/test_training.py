@@ -6,7 +6,7 @@ import pytest
 from bitrunet.data import make_sphere_case
 from bitrunet.gradcheck import check_gradients
 from bitrunet.model import BiTrUnetModel, ModelConfig
-from bitrunet.tensor import Tensor
+from bitrunet.tensor import Tape, Tensor
 from bitrunet.training import (
     OptimizerState,
     TrainConfig,
@@ -151,6 +151,33 @@ class TestLoss:
         assert check_gradients(
             [scores], lambda: loss_terms(scores, target, cfg)[0], h=1e-5
         ) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_tape_node_in_the_scores_dtype_equal_to_the_formula(self, dtype):
+        k = 3
+        target = rng.integers(0, k, (2, 3, 4, 2))
+        data = (rng.standard_normal((2, k, 3, 4, 2)) * 2).astype(dtype)
+        scores = Tensor(data, requires_grad=True)
+        cfg = TrainConfig(w_ce=0.7, w_dice=1.3)
+        with Tape() as tape:
+            total, ce, dice_loss = loss_terms(scores, target, cfg)
+            assert len(tape.nodes) == 1 and tape.nodes[0].output is total
+        assert not ce.requires_grad and not dice_loss.requires_grad
+        # the same loss in float64 numpy
+        x = data.astype(np.float64)
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        t = np.stack([target == c for c in range(k)], axis=1)
+        axes = (0, 2, 3, 4)
+        dice = (2.0 * (p * t).sum(axes) + 1e-5) / (p.sum(axes) + t.sum(axes) + 1e-5)
+        want_ce = -np.log(p[t]).mean()
+        want_dice = 1.0 - dice[1:].mean()
+        want = {"total": 0.7 * want_ce + 1.3 * want_dice, "ce": want_ce,
+                "dice": want_dice}
+        rel = 1e-5 if dtype == np.float32 else 1e-12
+        for name, got in (("total", total), ("ce", ce), ("dice", dice_loss)):
+            assert got.dtype == dtype, name
+            assert got.item() == pytest.approx(want[name], rel=rel), name
 
     def test_out_of_range_label_rejected(self):
         scores = Tensor(np.zeros((1, 3, 2, 2, 2)))
