@@ -151,8 +151,11 @@ def _load_train_config(path):
                 f"{path}: {k}={text!r} is not a valid {cast.__name__}"
             ) from None
     crop = c.pop("crop_size")
-    train_cfg = TrainConfig(**{f.name: c.pop(f.name) for f in fields(TrainConfig)})
-    return ModelConfig(input_size=(crop,) * 3, **c), train_cfg
+    try:
+        train_cfg = TrainConfig(**{f.name: c.pop(f.name) for f in fields(TrainConfig)})
+        return ModelConfig(input_size=(crop,) * 3, **c), train_cfg
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _find_modality_files(case_dir):

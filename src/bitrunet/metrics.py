@@ -14,8 +14,9 @@ Cropping to a box that holds every foreground voxel of both masks changes
 no result: outside the box both masks are background, so the erosion marks
 the same surface voxels, and all of them lie inside the box, so every
 nearest-surface distance is the same. ``evaluate_case`` scores every
-region on the joint box of the two masks' nonzero voxels and adds the
-voxels outside it to the true negatives; ``hd95`` crops again, to the box
+region on the joint box of the two masks' nonzero voxels, which it takes
+from the projections ``check_labels`` returns, and adds the voxels outside
+it to the true negatives; ``hd95`` crops again, to the box
 of its own region's two masks. Per region, ``evaluate_case`` counts |P|,
 |T| and |P∩T| once and takes Dice, sensitivity and specificity from those
 counts, by the same formulas ``dice``, ``sensitivity`` and ``specificity``
@@ -52,18 +53,34 @@ REGIONS = (
 
 
 def check_labels(mask, source):
-    """Raise a ValueError naming ``source`` and the first label outside
-    {0, 1, 2, 4}. One pass over the volume in cache-sized chunks, no sort."""
-    flat = np.ravel(mask, order="K")  # a view for C- or Fortran-ordered masks
-    step = 1 << 18
-    for start in range(0, flat.size, step):
-        chunk = flat[start : start + step]
-        bad = (chunk != 0) & (chunk != 1) & (chunk != 2) & (chunk != 4)
+    """Raise a ValueError naming ``source`` and the first label, in memory
+    order, outside {0, 1, 2, 4}; otherwise return the projections of the
+    nonzero voxels onto each axis, as ``_projections`` gives them. One pass
+    over the volume in cache-sized slabs along its slowest axis in memory,
+    with no sort and no full-volume temporary."""
+    mask = np.asarray(mask)
+    slow = int(np.argmax(np.abs(mask.strides)))
+    others = tuple(a for a in range(mask.ndim) if a != slow)
+    along = np.zeros(mask.shape[slow], dtype=bool)
+    across = np.zeros([mask.shape[a] for a in others], dtype=bool)
+    step = max(1, (1 << 18) // max(1, across.size))
+    cut = [slice(None)] * mask.ndim
+    for start in range(0, along.size, step):
+        cut[slow] = slice(start, start + step)
+        slab = mask[tuple(cut)]
+        nonzero = slab != 0
+        bad = nonzero & (slab != 1) & (slab != 2) & (slab != 4)
         if bad.any():
-            label = chunk[bad][0]
+            # raveled alike, both are in memory order
+            label = np.ravel(slab, order="K")[np.ravel(bad, order="K")][0]
             # str() of a numpy scalar is the shortest repr at its own precision
             label = int(label) if float(label).is_integer() else str(label)
             raise ValueError(f"{source}: label {label} is not one of 0, 1, 2, 4")
+        along[start : start + step] = nonzero.any(axis=others)
+        across |= nonzero.any(axis=slow)
+    hits = _projections(across)
+    hits.insert(slow, along)
+    return hits
 
 
 def region_mask(mask, region):
@@ -149,16 +166,21 @@ def surface_voxels(mask):
     return eroded
 
 
-def _box(nonzero):
-    """Slices of the smallest box that holds every True voxel of
-    ``nonzero``, found from its projection onto each axis; an empty box
-    when there is none."""
+def _projections(nonzero):
+    """Per axis, a boolean vector marking the indices at which ``nonzero``
+    holds a True voxel."""
+    axes = range(nonzero.ndim)
+    return [nonzero.any(axis=tuple(a for a in axes if a != axis)) for axis in axes]
+
+
+def _box(projections):
+    """Slices of the smallest box that holds every voxel marked in the
+    ``projections`` onto each axis; an empty box when there is none."""
     box = []
-    for axis in range(nonzero.ndim):
-        others = tuple(a for a in range(nonzero.ndim) if a != axis)
-        hit = np.flatnonzero(nonzero.any(axis=others))
+    for hits in projections:
+        hit = np.flatnonzero(hits)
         if hit.size == 0:
-            return (slice(0, 0),) * nonzero.ndim
+            return (slice(0, 0),) * len(projections)
         box.append(slice(hit[0], hit[-1] + 1))
     return tuple(box)
 
@@ -178,7 +200,7 @@ def hd95(pred, truth, spacing=(1.0, 1.0, 1.0)):
     from scipy.spatial import KDTree
 
     pred, truth = _bools(pred, truth, "hd95")
-    box = _box(pred | truth)
+    box = _box(_projections(pred | truth))
     scale = np.asarray(spacing, dtype=np.float64)
     ps = np.argwhere(surface_voxels(pred[box])) * scale
     ts = np.argwhere(surface_voxels(truth[box])) * scale
@@ -205,9 +227,9 @@ def evaluate_case(pred_mask, truth_mask, spacing=(1.0, 1.0, 1.0),
         if mask.ndim != 3:
             raise ValueError(f"{source}: mask of shape {mask.shape} is not 3D")
     _check_shapes(pred_mask, truth_mask, "evaluate_case")
-    check_labels(pred_mask, sources[0])
-    check_labels(truth_mask, sources[1])
-    box = _box((pred_mask != 0) | (truth_mask != 0))
+    pred_hits = check_labels(pred_mask, sources[0])
+    truth_hits = check_labels(truth_mask, sources[1])
+    box = _box([p | t for p, t in zip(pred_hits, truth_hits)])
     pred_box, truth_box = pred_mask[box], truth_mask[box]
     out = {}
     for region in REGIONS:

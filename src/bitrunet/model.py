@@ -168,15 +168,16 @@ def group_norm(x, gamma, beta, groups, eps=1e-5):
     gd = gamma.data.reshape(per_channel)
     out = Tensor(xhat * gd + beta.data.reshape(per_channel))
     if _recording(x, gamma, beta):
+        sx, sg, sb, shape = x.slot, gamma.slot, beta.slot, x.shape
         def rule(gy):
-            if gamma.requires_grad:
-                _accum(gamma, _unbroadcast(gy * xhat, per_channel).reshape(c))
-            if beta.requires_grad:
-                _accum(beta, _unbroadcast(gy, per_channel).reshape(c))
-            if x.requires_grad:
+            if sg is not None:
+                _accum(sg, _unbroadcast(gy * xhat, per_channel).reshape(c))
+            if sb is not None:
+                _accum(sb, _unbroadcast(gy, per_channel).reshape(c))
+            if sx is not None:
                 dxh = (gy * gd).reshape(grouped)
                 dx = _norm_input_grad(dxh, xhat.reshape(grouped), inv)
-                _accum(x, dx.reshape(x.shape))
+                _accum(sx, dx.reshape(shape))
         _record(out, rule)
     return out
 

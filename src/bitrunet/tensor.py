@@ -1,18 +1,24 @@
 """N-dimensional tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a C-contiguous numpy array plus an optional gradient
-buffer. Differentiable operations are free functions; when a ``Tape`` is
-active and any input requires a gradient, the op appends a node holding the
+A ``Tensor`` wraps a C-contiguous numpy array. One that requires a gradient
+also owns a ``Slot``, a small object holding its ``.grad``. Differentiable
+operations are free functions; when a ``Tape`` is active and any input
+requires a gradient, the op appends a node holding its output's slot and the
 backward rule. ``Tape.backward(loss)`` walks the tape in exact reverse
-recording order, accumulating into ``.grad``.
+recording order, accumulating into the slots.
 
-Backward consumes the tape: once a node's rule has run, its slot in
-``tape.nodes`` becomes ``None`` and its output's ``.grad`` is cleared, so
-each activation and intermediate gradient is freed as soon as nothing
-upstream needs it. Only leaf gradients (the parameters') survive, and a
-second ``backward`` on the same tape raises. Tape lifetime is one forward
-pass: enter a fresh ``Tape`` context for each training step, run inference
-with no tape at all.
+A rule keeps its operands' slots and shapes and only the arrays its formula
+reads (``relu`` its mask, ``group_norm`` its ``xhat``), never an operand or
+output Tensor. So an activation that no rule reads is freed during the
+forward pass, as soon as Python drops the Tensor.
+
+Backward consumes the tape: once a node's rule has run, its entry in
+``tape.nodes`` becomes ``None`` and its output slot's gradient is cleared, so
+each array a rule read and each intermediate gradient is freed as soon as
+nothing upstream needs it. Only leaf gradients (the parameters') survive,
+and a second ``backward`` on the same tape raises. Tape lifetime is one
+forward pass: enter a fresh ``Tape`` context for each training step, run
+inference with no tape at all.
 """
 
 import math
@@ -22,10 +28,22 @@ import numpy as np
 from . import kernels
 
 
-class Tensor:
-    """Array container: shape, row-major data, dtype, optional grad."""
+class Slot:
+    """Where the gradient of one Tensor accumulates, and its dtype. Holding a
+    slot keeps no array of the forward pass alive."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad", "dtype")
+
+    def __init__(self, dtype):
+        self.grad = None
+        self.dtype = dtype
+
+
+class Tensor:
+    """Array container: shape, row-major data, dtype, and a gradient slot
+    when it requires a gradient."""
+
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is None:
@@ -37,8 +55,23 @@ class Tensor:
             )
             dtype = data.dtype if is_float else np.float64
         self.data = np.ascontiguousarray(data, dtype=dtype)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = Slot(self.data.dtype) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.slot is not None
+
+    @property
+    def grad(self):
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.slot is None:
+            if g is None:
+                return
+            raise ValueError("cannot set the gradient of a tensor that does not require one")
+        self.slot.grad = g
 
     @property
     def shape(self):
@@ -67,14 +100,15 @@ class Tensor:
 
 
 class Node:
-    """One recorded operation: its output, whose ``.grad`` is the upstream
-    gradient, and the backward rule that passes it on. The rule itself
-    holds the operands it accumulates into and the arrays it reads."""
+    """One recorded operation: its output's slot, whose gradient is the
+    upstream gradient, and the backward rule that passes it on. The rule
+    holds the slots of the operands it accumulates into and the arrays it
+    reads; neither keeps the output array alive."""
 
-    __slots__ = ("output", "rule")
+    __slots__ = ("slot", "rule")
 
-    def __init__(self, output, rule):
-        self.output = output
+    def __init__(self, slot, rule):
+        self.slot = slot
         self.rule = rule
 
 
@@ -113,9 +147,9 @@ class Tape:
         for i in range(len(nodes) - 1, -1, -1):
             node = nodes[i]
             nodes[i] = None
-            gy = node.output.grad
+            gy = node.slot.grad
             if gy is not None:
-                node.output.grad = None
+                node.slot.grad = None
                 node.rule(gy)
 
 
@@ -126,16 +160,23 @@ def _recording(*tensors):
 
 
 def _record(output, rule):
-    output.requires_grad = True
-    _ACTIVE_TAPE.nodes.append(Node(output, rule))
+    output.slot = Slot(output.dtype)
+    _ACTIVE_TAPE.nodes.append(Node(output.slot, rule))
 
 
-def _accum(t, g):
-    if not t.requires_grad:
+def _accum(slot, g):
+    """Add ``g`` into ``slot``'s gradient; the first one is taken as the
+    gradient itself, C-contiguous in the slot's dtype. The slot then owns
+    ``g``, so a rule passes an array nothing else writes (``add`` copies
+    ``gy`` when both operands would get it). A non-contiguous view, such as
+    ``transpose_last2``'s, is copied: kept strided, the matmuls and sums
+    that later read it would round differently."""
+    if slot is None:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if slot.grad is None:
+        slot.grad = np.ascontiguousarray(g, dtype=slot.dtype)
+    else:
+        slot.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -162,11 +203,15 @@ def add(a, b):
     b = _as_tensor(b, a)
     out = Tensor(a.data + b.data)
     if _recording(a, b):
+        sa, sb, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
         def rule(gy):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(gy, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(gy, b.shape))
+            ga = None
+            if sa is not None:
+                ga = _unbroadcast(gy, a_shape)
+                _accum(sa, ga)
+            if sb is not None:
+                gb = _unbroadcast(gy, b_shape)
+                _accum(sb, gb.copy() if gb is ga else gb)
         _record(out, rule)
     return out
 
@@ -175,12 +220,15 @@ def mul(a, b):
     b = _as_tensor(b, a)
     out = Tensor(a.data * b.data)
     if _recording(a, b):
-        ad, bd = a.data, b.data
+        sa, sb, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
+        # each operand's array is read only for the other's gradient
+        ad = a.data if sb is not None else None
+        bd = b.data if sa is not None else None
         def rule(gy):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(gy * bd, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(gy * ad, b.shape))
+            if sa is not None:
+                _accum(sa, _unbroadcast(gy * bd, a_shape))
+            if sb is not None:
+                _accum(sb, _unbroadcast(gy * ad, b_shape))
         _record(out, rule)
     return out
 
@@ -189,12 +237,14 @@ def div(a, b):
     b = _as_tensor(b, a)
     out = Tensor(a.data / b.data)
     if _recording(a, b):
-        ad, bd = a.data, b.data
+        sa, sb, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
+        ad = a.data if sb is not None else None
+        bd = b.data
         def rule(gy):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(gy / bd, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-gy * ad / (bd * bd), b.shape))
+            if sa is not None:
+                _accum(sa, _unbroadcast(gy / bd, a_shape))
+            if sb is not None:
+                _accum(sb, _unbroadcast(-gy * ad / (bd * bd), b_shape))
         _record(out, rule)
     return out
 
@@ -211,12 +261,14 @@ def matmul(a, b):
         )
     out = Tensor(np.matmul(a.data, b.data))
     if _recording(a, b):
-        ad, bd = a.data, b.data
+        sa, sb, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
+        ad = a.data if sb is not None else None
+        bd = b.data if sa is not None else None
         def rule(gy):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(np.matmul(gy, bd.swapaxes(-1, -2)), a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), gy), b.shape))
+            if sa is not None:
+                _accum(sa, _unbroadcast(np.matmul(gy, bd.swapaxes(-1, -2)), a_shape))
+            if sb is not None:
+                _accum(sb, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), gy), b_shape))
         _record(out, rule)
     return out
 
@@ -228,9 +280,9 @@ def matmul(a, b):
 def relu(x):
     out = Tensor(np.maximum(x.data, 0.0))
     if _recording(x):
-        mask = x.data > 0
+        sx, mask = x.slot, x.data > 0
         def rule(gy):
-            _accum(x, gy * mask)
+            _accum(sx, gy * mask)
         _record(out, rule)
     return out
 
@@ -324,10 +376,10 @@ def gelu(x):
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     out = Tensor(x.data * cdf)
     if _recording(x):
-        xd = x.data
+        sx, xd = x.slot, x.data
         def rule(gy):
             pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-            _accum(x, gy * (cdf + xd * pdf))
+            _accum(sx, gy * (cdf + xd * pdf))
         _record(out, rule)
     return out
 
@@ -335,9 +387,9 @@ def gelu(x):
 def sigmoid(x):
     out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
     if _recording(x):
-        y = out.data
+        sx, y = x.slot, out.data
         def rule(gy):
-            _accum(x, gy * y * (1.0 - y))
+            _accum(sx, gy * y * (1.0 - y))
         _record(out, rule)
     return out
 
@@ -350,9 +402,9 @@ def softmax(x, axis):
     e = np.exp(z)
     out = Tensor(e / e.sum(axis=axis, keepdims=True))
     if _recording(x):
-        y = out.data
+        sx, y = x.slot, out.data
         def rule(gy):
-            _accum(x, y * (gy - (gy * y).sum(axis=axis, keepdims=True)))
+            _accum(sx, y * (gy - (gy * y).sum(axis=axis, keepdims=True)))
         _record(out, rule)
     return out
 
@@ -392,14 +444,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     xhat, inv = _normalize(x.data, eps)
     out = Tensor(gamma.data * xhat + beta.data)
     if _recording(x, gamma, beta):
+        sx, sg, sb, gd = x.slot, gamma.slot, beta.slot, gamma.data
         lead = tuple(range(x.ndim - 1))
         def rule(gy):
-            if gamma.requires_grad:
-                _accum(gamma, (gy * xhat).sum(axis=lead))
-            if beta.requires_grad:
-                _accum(beta, gy.sum(axis=lead))
-            if x.requires_grad:
-                _accum(x, _norm_input_grad(gy * gamma.data, xhat, inv))
+            if sg is not None:
+                _accum(sg, (gy * xhat).sum(axis=lead))
+            if sb is not None:
+                _accum(sb, gy.sum(axis=lead))
+            if sx is not None:
+                _accum(sx, _norm_input_grad(gy * gd, xhat, inv))
         _record(out, rule)
     return out
 
@@ -436,9 +489,9 @@ def _with_bias(y, bias):
     return y
 
 
-def _accum_bias(bias, gy):
-    if bias is not None and bias.requires_grad:
-        _accum(bias, _unbroadcast(gy, (gy.shape[1], 1, 1, 1)).reshape(-1))
+def _accum_bias(slot, gy):
+    if slot is not None:
+        _accum(slot, _unbroadcast(gy, (gy.shape[1], 1, 1, 1)).reshape(-1))
 
 
 def conv3d(x, weight, bias, stride=1):
@@ -447,14 +500,16 @@ def conv3d(x, weight, bias, stride=1):
     _check_conv(x, weight, 1, "conv3d")
     out = Tensor(_with_bias(kernels.conv3d_forward(x.data, weight.data, stride, 1), bias))
     if _recording(x, weight, bias):
+        sx, sw = x.slot, weight.slot
+        sb = None if bias is None else bias.slot
         xd, wd = x.data, weight.data
         in_spatial = x.shape[2:]
         def rule(gy):
-            if x.requires_grad:
-                _accum(x, kernels.conv3d_input_grad(gy, wd, stride, 1, in_spatial))
-            if weight.requires_grad:
-                _accum(weight, kernels.conv3d_weight_grad(xd, gy, stride, 1, _KERNEL))
-            _accum_bias(bias, gy)
+            if sx is not None:
+                _accum(sx, kernels.conv3d_input_grad(gy, wd, stride, 1, in_spatial))
+            if sw is not None:
+                _accum(sw, kernels.conv3d_weight_grad(xd, gy, stride, 1, _KERNEL))
+            _accum_bias(sb, gy)
         _record(out, rule)
     return out
 
@@ -480,13 +535,15 @@ def conv_transpose3d(x, weight, bias, stride=1, output_size=None):
         kernels.conv3d_input_grad(x.data, weight.data, stride, 1, output_size), bias
     ))
     if _recording(x, weight, bias):
+        sx, sw = x.slot, weight.slot
+        sb = None if bias is None else bias.slot
         xd, wd = x.data, weight.data
         def rule(gy):
-            if x.requires_grad:
-                _accum(x, kernels.conv3d_forward(gy, wd, stride, 1))
-            if weight.requires_grad:
-                _accum(weight, kernels.conv3d_weight_grad(gy, xd, stride, 1, _KERNEL))
-            _accum_bias(bias, gy)
+            if sx is not None:
+                _accum(sx, kernels.conv3d_forward(gy, wd, stride, 1))
+            if sw is not None:
+                _accum(sw, kernels.conv3d_weight_grad(gy, xd, stride, 1, _KERNEL))
+            _accum_bias(sb, gy)
         _record(out, rule)
     return out
 
@@ -503,11 +560,11 @@ def concat(xs, axis):
         raise ValueError(f"concat axis {axis} invalid for shape {xs[0].shape}")
     out = Tensor(np.concatenate([t.data for t in xs], axis=axis))
     if _recording(*xs):
-        sizes = [t.shape[axis] for t in xs]
-        splits = np.cumsum(sizes)[:-1]
+        slots = [t.slot for t in xs]
+        splits = np.cumsum([t.shape[axis] for t in xs])[:-1]
         def rule(gy):
-            for t, g in zip(xs, np.split(gy, splits, axis=axis)):
-                _accum(t, g)
+            for slot, g in zip(slots, np.split(gy, splits, axis=axis)):
+                _accum(slot, g)
         _record(out, rule)
     return out
 
@@ -515,9 +572,9 @@ def concat(xs, axis):
 def reshape(x, shape):
     out = Tensor(x.data.reshape(shape))
     if _recording(x):
-        old = x.shape
+        sx, old = x.slot, x.shape
         def rule(gy):
-            _accum(x, gy.reshape(old))
+            _accum(sx, gy.reshape(old))
         _record(out, rule)
     return out
 
@@ -526,8 +583,9 @@ def transpose_last2(x):
     """Swap the last two axes."""
     out = Tensor(np.ascontiguousarray(x.data.swapaxes(-1, -2)))
     if _recording(x):
+        sx = x.slot
         def rule(gy):
-            _accum(x, gy.swapaxes(-1, -2))
+            _accum(sx, gy.swapaxes(-1, -2))
         _record(out, rule)
     return out
 
@@ -540,11 +598,12 @@ def tsum(x, axis=None, keepdims=False):
     """Sum over ``axis``, an int or a tuple of ints (all elements when None)."""
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
     if _recording(x):
+        sx, shape = x.slot, x.shape
         def rule(gy):
             g = gy
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(g, x.shape).copy())
+            _accum(sx, np.broadcast_to(g, shape).copy())
         _record(out, rule)
     return out
 
@@ -556,10 +615,11 @@ def tmax(x, axis, keepdims=False):
     idx = x.data.argmax(axis=axis)
     out = Tensor(x.data.max(axis=axis, keepdims=keepdims))
     if _recording(x):
+        sx, shape = x.slot, x.shape
         def rule(gy):
-            g = np.zeros_like(x.data)
+            g = np.zeros(shape, dtype=sx.dtype)
             gk = gy if keepdims else np.expand_dims(gy, axis)
             np.put_along_axis(g, np.expand_dims(idx, axis), gk, axis)
-            _accum(x, g)
+            _accum(sx, g)
         _record(out, rule)
     return out

@@ -199,6 +199,7 @@ def loss_terms(scores, target, cfg):
     dice_loss = 1.0 - dice[1:].sum() / (k - 1)
     total = T.Tensor(cfg.w_ce * ce + cfg.w_dice * dice_loss)
     if T._recording(scores):
+        slot = scores.slot
         coef = np.zeros_like(den)
         coef[1:] = -cfg.w_dice / (k - 1) / den[1:]
         coef = coef.reshape(1, k, 1, 1, 1)
@@ -207,7 +208,7 @@ def loss_terms(scores, target, cfg):
             g = p * (g_p - (p * g_p).sum(axis=1, keepdims=True))
             g += cfg.w_ce / n_vox * (p - onehot)
             g *= gy
-            T._accum(scores, g)
+            T._accum(slot, g)
         T._record(total, rule)
     return total, T.Tensor(ce), T.Tensor(dice_loss)
 

@@ -287,6 +287,23 @@ class TestTrainConfig(object):
         assert key in err and str(tmp_path / "train.cfg") in err
         assert not run.exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("w_ce", "nan", "w_ce must be finite, got nan"),
+        ("augment", "3", "augment must be 0 or 1, got 3"),
+        ("crop_size", "24", "input spatial axis 0 size 24 not divisible by 16"),
+        ("heads", "3", "embed_dim 16 not divisible by heads 3"),
+    ])
+    def test_rejected_value_names_the_file(self, workspace, tmp_path, capsys,
+                                           key, value, message):
+        settings = dict(base_width=4, embed_dim=16, vit_layers=1, heads=2,
+                        num_classes=2, crop_size=16, iters=2, augment=0)
+        settings[key] = value
+        text = "".join(f"{k}={v}\n" for k, v in settings.items())
+        code, run = self._train(workspace, tmp_path, text)
+        assert code == 2
+        assert f"{tmp_path / 'train.cfg'}: {message}" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_unknown_key_is_data_error(self, workspace, tmp_path, capsys):
         code, _ = self._train(
             workspace, tmp_path,

@@ -15,6 +15,7 @@ from bitrunet.metrics import (
     HD95_EMPTY_SENTINEL,
     REGIONS,
     RegionSpec,
+    check_labels,
     dice,
     evaluate_case,
     format_report,
@@ -482,6 +483,54 @@ class TestEvaluateCaseFormulation:
             for scores in got.values():
                 for value in scores.values():
                     assert type(value) is float
+
+
+class TestCheckLabels:
+    """One slab-wise pass checks the labels and projects the nonzero voxels,
+    as a flat pass plus the joint mask's ``any`` projections did."""
+
+    @staticmethod
+    def _layouts(mask):
+        big = np.zeros((mask.shape[0] + 3, mask.shape[1] * 2, mask.shape[2]), mask.dtype)
+        view = big[2 : 2 + mask.shape[0], ::2]
+        view[...] = mask
+        return {"C": np.ascontiguousarray(mask), "F": np.asfortranarray(mask),
+                "strided": view, "transposed": np.asfortranarray(mask).transpose(1, 0, 2)}
+
+    @pytest.mark.parametrize("shape", [(70, 80, 90), (3, 1, 5), (1, 1, 1), (33, 2, 200)])
+    def test_projections_equal_the_full_volume_anys(self, shape):
+        mask = rng.choice([0, 1, 2, 4], shape, p=[0.97, 0.01, 0.01, 0.01]).astype(np.uint8)
+        zero = np.zeros(shape, np.uint8)
+        for blank in (mask, zero):
+            for layout, m in self._layouts(blank).items():
+                got = check_labels(m, "m")
+                want = [(m != 0).any(axis=tuple(a for a in range(3) if a != axis))
+                        for axis in range(3)]
+                assert len(got) == 3, layout
+                for g, w in zip(got, want):
+                    assert g.dtype == bool and np.array_equal(g, w), layout
+
+    def test_four_dimensional_mask(self):
+        mask = np.zeros((6, 5, 4, 2), np.int16)
+        mask[2, 3, 1, 1] = 4
+        got = check_labels(mask, "m")
+        assert [np.flatnonzero(g).tolist() for g in got] == [[2], [3], [1], [1]]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
+    def test_first_bad_label_in_memory_order(self, dtype):
+        # 3 comes first in C order, 5 in Fortran order, and in both
+        # layouts they lie in different slabs
+        base = rng.choice([0, 1, 2, 4], (40, 50, 160)).astype(dtype)
+        base[1, 40, 150] = 3
+        base[35, 2, 10] = 5
+        wants = set()
+        for layout, m in self._layouts(base).items():
+            flat = np.ravel(m, order="K")
+            want = int(flat[~np.isin(flat, [0, 1, 2, 4])][0])
+            wants.add(want)
+            with pytest.raises(ValueError, match=rf"^m\.nii: label {want} is not one of"):
+                check_labels(m, "m.nii")
+        assert wants == {3, 5}
 
 
 class TestSummarize:

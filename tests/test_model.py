@@ -1,16 +1,19 @@
 """Architecture behavior: attention blocks, token embedding, forward
 contract, tape memory, checkpointing."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from bitrunet import model as model_module
 from bitrunet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from bitrunet.gradcheck import check_gradients, check_model_gradients
 from bitrunet.model import (
     BiTrUnetModel,
     CbamBlock,
+    ConvBlock,
     ModelConfig,
     TransformerLayer,
     VitBlock,
@@ -335,7 +338,7 @@ class TestForward:
             scores = model.forward(x)
             loss = loss_terms(scores, target, TrainConfig())[0]
             # backward frees the nodes, so read their dtypes first
-            dtypes = {n.output.dtype for n in tape.nodes}
+            dtypes = {n.slot.dtype for n in tape.nodes}
             tape.backward(loss)
         assert scores.dtype == np.float32
         wide = dtypes - {np.dtype(np.float32)}
@@ -350,37 +353,127 @@ class TestForward:
 
 
 class TestTapeMemory:
-    """Backward frees each activation and intermediate gradient as it goes."""
+    """A rule keeps only the arrays its backward reads, and backward frees
+    each of those and each intermediate gradient as it goes."""
 
-    def _step(self):
+    def _step(self, made=None):
+        """Forward and loss of a float32 step under a tape; with a list
+        ``made``, a weakref to every array a Tensor wraps during it."""
         cfg = tiny_config()
         model = BiTrUnetModel(cfg, seed=0, dtype=np.float32)
         x = Tensor(rng.standard_normal((1, 2, 16, 16, 16)).astype(np.float32))
         target = rng.integers(0, cfg.num_classes, (16, 16, 16))
+        init = Tensor.__init__
+
+        def tracking_init(t, *args, **kwargs):
+            init(t, *args, **kwargs)
+            made.append(weakref.ref(t.data))
+
         tape = Tape()
-        with tape:
-            loss = loss_terms(model.forward(x), target, TrainConfig())[0]
+        with pytest.MonkeyPatch.context() as mp:
+            if made is not None:
+                mp.setattr(Tensor, "__init__", tracking_init)
+            with tape:
+                loss = loss_terms(model.forward(x), target, TrainConfig())[0]
         return model, tape, loss
 
     def test_activations_are_freed_while_the_tape_lives(self):
-        model, tape, loss = self._step()
+        made = []
+        model, tape, loss = self._step(made)
         recorded = len(tape.nodes)
-        # the arrays of the graph: every node output except the loss itself
-        arrays = [weakref.ref(n.output.data) for n in tape.nodes if n.output is not loss]
-        assert all(ref() is not None for ref in arrays)
+        params = {id(p.data) for p in model.params.values()}
+        # what the rules read, parameters aside, is alive until backward
+        held = [weakref.ref(c.cell_contents) for n in tape.nodes
+                for c in n.rule.__closure__ or ()
+                if isinstance(c.cell_contents, np.ndarray)
+                and id(c.cell_contents) not in params]
+        assert held and all(ref() is not None for ref in held)
+        arrays = [ref for ref in made if ref() is not loss.data] + held
         tape.backward(loss)
         assert len(tape.nodes) == recorded
         assert all(node is None for node in tape.nodes)
         alive = sum(ref() is not None for ref in arrays)
-        assert alive == 0, f"{alive} of {len(arrays)} activations outlived backward"
+        assert alive == 0, f"{alive} of {len(arrays)} arrays outlived backward"
+
+    def test_conv_block_outputs_are_freed_during_the_forward_pass(self, monkeypatch):
+        # group norm reads only xhat and relu only its mask, so neither the
+        # conv output nor the group-norm output outlives its Python name
+        made = {}
+
+        def tracked(name, op):
+            def wrapper(*args, **kwargs):
+                out = op(*args, **kwargs)
+                made[name] = weakref.ref(out.data)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(model_module, "conv3d", tracked("conv", model_module.conv3d))
+        monkeypatch.setattr(model_module, "group_norm",
+                            tracked("norm", model_module.group_norm))
+        block = ConvBlock(make_builder(np.float32), "blk", 2, 4, 1, 2)
+        x = Tensor(rng.standard_normal((1, 2, 8, 8, 8)).astype(np.float32),
+                   requires_grad=True)
+        with Tape() as tape:
+            y = block(x)
+            assert len(tape.nodes) == 3
+            assert made["conv"]() is None and made["norm"]() is None
+            tape.backward(tsum(y))
+        for t in (x, block.w, block.b, block.gamma, block.beta):
+            assert t.grad is not None and t.grad.shape == t.shape
+
+    @pytest.mark.parametrize("later", ["a", "b"])
+    def test_add_gives_each_operand_its_own_gradient(self, later):
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        with Tape() as tape:
+            # recorded first, so its rule runs after add's and accumulates
+            # into the gradient add gave ``later``
+            scaled = mul(a if later == "a" else b, 3.0)
+            loss = tsum(add(add(a, b), scaled))
+            tape.backward(loss)
+        grads = {"a": a.grad, "b": b.grad}
+        assert np.array_equal(grads[later], np.full((3, 4), 4.0))
+        assert np.array_equal(grads["b" if later == "a" else "a"], np.ones((3, 4)))
 
     def test_only_parameter_gradients_survive(self):
         model, tape, loss = self._step()
-        outputs = [n.output for n in tape.nodes]
+        slots = [n.slot for n in tape.nodes]
         tape.backward(loss)
-        assert all(t.grad is None for t in outputs)
+        assert all(slot.grad is None for slot in slots)
         for name, p in model.params.items():
             assert p.grad is not None and p.grad.dtype == np.float32, name
+
+    def test_parameter_gradients_are_float32_c_contiguous_and_their_own(self):
+        model, tape, loss = self._step()
+        tape.backward(loss)
+        grads = list(model.params.items())
+        for name, p in grads:
+            assert p.grad.dtype == np.float32 and p.grad.flags.c_contiguous, name
+            assert p.grad.shape == p.shape, name
+        for i, (name, p) in enumerate(grads):
+            for other, q in grads[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad), (name, other)
+
+    def test_live_bytes_after_forward_and_loss_stay_bounded(self):
+        # the train-32 config; its tape read 45 MB when rules held their
+        # operand Tensors and 24.6 MB with slots
+        cfg = ModelConfig(in_channels=4, num_classes=4, input_size=(32, 32, 32),
+                          base_width=16, embed_dim=32, vit_layers=1, heads=4,
+                          ffn_hidden=64)
+        model = BiTrUnetModel(cfg, seed=0, dtype=np.float32)
+        x = Tensor(rng.standard_normal((1, 4, 32, 32, 32)).astype(np.float32))
+        target = rng.integers(0, 4, (1, 32, 32, 32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = loss_terms(model.forward(x), target, TrainConfig())[0]
+                live = tracemalloc.get_traced_memory()[0] - base
+                tape.backward(loss)
+        finally:
+            tracemalloc.stop()
+        assert live <= 30e6, f"{live / 1e6:.1f} MB live after forward and loss"
+        assert all(p.grad is not None for p in model.params.values())
 
 
 class TestCheckpoint:

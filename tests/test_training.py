@@ -161,7 +161,7 @@ class TestLoss:
         cfg = TrainConfig(w_ce=0.7, w_dice=1.3)
         with Tape() as tape:
             total, ce, dice_loss = loss_terms(scores, target, cfg)
-            assert len(tape.nodes) == 1 and tape.nodes[0].output is total
+            assert len(tape.nodes) == 1 and tape.nodes[0].slot is total.slot
         assert not ce.requires_grad and not dice_loss.requires_grad
         # the same loss in float64 numpy
         x = data.astype(np.float64)
