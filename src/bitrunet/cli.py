@@ -20,31 +20,21 @@ from .data import (
     cache_case,
     check_same_spacing,
     load_case,
-    make_sphere_case,
     normalize,
     pad_to_shape,
     stack_modalities,
     MODALITY_ORDER,
 )
-from .gradcheck import check_model_gradients, run_op_suite
+from .gradcheck import MODEL_BOUND, OP_BOUND, gradient_suite
 from .inference import (
     DEFAULT_ET_THRESHOLD,
     EXTERNAL_LABELS,
     external_to_internal,
-    majority_vote,
     mask_from_probs,
     predict_probs,
     tta_predict,
-    volume_threshold_postprocess,
 )
-from .metrics import (
-    REGIONS,
-    check_labels,
-    evaluate_case,
-    format_report,
-    hd95,
-    surface_voxels,
-)
+from .metrics import check_labels, evaluate_case, format_report
 from .model import BiTrUnetModel, ModelConfig, parse_key_values
 from .nifti import NiftiError, read_nifti, write_nifti
 from .training import TrainConfig, train_loop
@@ -61,17 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _min_voxels(text):
-    """The value of ``--postproc-threshold``: a voxel count, 0 or more."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a voxel count of 0 or more (0 disables postprocessing)"
-        )
-    return n
+def _at_least(least):
+    """An argparse type: an integer of ``least`` or more, else a usage error."""
+    def count(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer of {least} or more")
+        return n
+    return count
 
 
 def _build_parser():
@@ -96,7 +86,7 @@ def _build_parser():
     pr.add_argument("--input", required=True, help=".btrc file or case directory")
     pr.add_argument("--out", required=True, help="output mask NIfTI path")
     pr.add_argument("--tta", action="store_true", help="average the 8 flip variants")
-    pr.add_argument("--postproc-threshold", type=_min_voxels, default=DEFAULT_ET_THRESHOLD,
+    pr.add_argument("--postproc-threshold", type=_at_least(0), default=DEFAULT_ET_THRESHOLD,
                     help="min ET component volume in voxels, 0 disables")
     pr.add_argument("--dump-probs", help="also write raw float32 probabilities here")
 
@@ -104,7 +94,7 @@ def _build_parser():
     en.add_argument("--probs", nargs="+", required=True,
                     help="probability dumps from predict --dump-probs")
     en.add_argument("--out", required=True)
-    en.add_argument("--postproc-threshold", type=_min_voxels, default=DEFAULT_ET_THRESHOLD,
+    en.add_argument("--postproc-threshold", type=_at_least(0), default=DEFAULT_ET_THRESHOLD,
                     help="min ET component volume in voxels, 0 disables")
 
     ev = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -113,7 +103,8 @@ def _build_parser():
     ev.add_argument("--out", help="report path (default: stdout)")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    gc.add_argument("--instances", type=int, default=20)
+    gc.add_argument("--instances", type=_at_least(1), default=20,
+                    help="random instances of each op")
 
     sub.add_parser("selftest", help="run the brute-force oracle comparisons")
     return p
@@ -415,242 +406,23 @@ def _cmd_evaluate(args):
 
 
 def _cmd_gradcheck(args):
-    results = run_op_suite(instances=args.instances)
-    worst = 0.0
-    for name in sorted(results):
-        print(f"  {name:28s} {results[name]:.3e}")
-        worst = max(worst, results[name])
-    from .tensor import Tensor
-
-    cfg = ModelConfig(
-        in_channels=2, base_width=4, num_classes=4, embed_dim=16,
-        vit_layers=1, heads=2, ffn_hidden=32, input_size=(16, 16, 16),
-    )
-    model = BiTrUnetModel(cfg, seed=0, dtype=np.float64)
-    x = Tensor(np.random.default_rng(1).standard_normal((1, 2, 16, 16, 16)))
-    model_err = check_model_gradients(model, x, samples=50)
+    ops, model_err = gradient_suite(instances=args.instances)
+    for name in sorted(ops):
+        print(f"  {name:28s} {ops[name]:.3e}")
     print(f"  {'full model':28s} {model_err:.3e}")
+    worst = max(ops.values())
     print(f"max relative error (ops): {worst:.3e}")
-    ok = worst < 1e-4 and model_err < 1e-3
+    ok = worst < OP_BOUND and model_err < MODEL_BOUND
     print("gradcheck", "PASSED" if ok else "FAILED")
     return 0 if ok else 2
 
 
 def _cmd_selftest(args):
-    import gzip
-    import tempfile
-
-    from . import kernels
-    from .tensor import Tensor, conv3d, conv_transpose3d, erf
-
-    rng = np.random.default_rng(0)
-    checks = []
-
-    def run(name, fn):
-        ok = bool(fn())
-        checks.append(ok)
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-    def conv_vs_naive():
-        worst = 0.0
-        for _ in range(5):
-            x = rng.standard_normal((1, 2, 5, 5, 5))
-            w = rng.standard_normal((3, 2, 3, 3, 3))
-            for stride in (1, 2):
-                got = kernels.conv3d_forward(x, w, stride, 1)
-                ref = reference.naive_conv3d(x, w, stride, 1)
-                worst = max(worst, float(np.abs(got - ref).max()))
-        return worst < 1e-9
-
-    def conv_grads_vs_naive():
-        # <naive(x, w), gy> == <x, input_grad(gy)> == <w, weight_grad(x, gy)>
-        worst = 0.0
-        for _ in range(5):
-            x = rng.standard_normal((2, 2, 5, 5, 5))
-            w = rng.standard_normal((3, 2, 3, 3, 3))
-            for stride in (1, 2):
-                ref = reference.naive_conv3d(x, w, stride, 1)
-                gy = rng.standard_normal(ref.shape)
-                lhs = float((ref * gy).sum())
-                gx = kernels.conv3d_input_grad(gy, w, stride, 1, x.shape[2:])
-                gw = kernels.conv3d_weight_grad(x, gy, stride, 1, w.shape[2:])
-                for rhs in (float((x * gx).sum()), float((w * gw).sum())):
-                    worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-        return worst < 1e-10
-
-    def conv_edge_extents():
-        # single-voxel, two-voxel and mixed extents, odd extents at stride 2
-        # with and without padding, batch 2, in float64 and float32
-        cases = [((1, 1, 1), 1, 1), ((2, 2, 2), 2, 1), ((2, 3, 4), 1, 1),
-                 ((5, 7, 3), 2, 0), ((7, 3, 5), 2, 1)]
-        for spatial, stride, pad in cases:
-            x = rng.standard_normal((2, 2) + spatial)
-            w = rng.standard_normal((3, 2, 3, 3, 3))
-            ref = reference.naive_conv3d(x, w, stride, pad)
-            gy = rng.standard_normal(ref.shape)
-            lhs = float((ref * gy).sum())
-            for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
-                xd, wd, gyd = (a.astype(dtype) for a in (x, w, gy))
-                y = kernels.conv3d_forward(xd, wd, stride, pad)
-                gx = kernels.conv3d_input_grad(gyd, wd, stride, pad, spatial)
-                gw = kernels.conv3d_weight_grad(xd, gyd, stride, pad, w.shape[2:])
-                if {y.dtype, gx.dtype, gw.dtype} != {np.dtype(dtype)}:
-                    return False
-                if y.shape != ref.shape or np.abs(y - ref).max() >= tol:
-                    return False
-                for rhs in (float((x * gx).sum()), float((w * gw).sum())):
-                    if abs(lhs - rhs) / max(abs(lhs), 1e-12) >= tol:
-                        return False
-        return True
-
-    def matmul_vs_naive():
-        a = rng.standard_normal((4, 5))
-        b = rng.standard_normal((5, 3))
-        return np.abs(a @ b - reference.naive_matmul(a, b)).max() < 1e-10
-
-    def adjointness():
-        worst = 0.0
-        for _ in range(5):
-            x = Tensor(rng.standard_normal((1, 2, 4, 4, 4)))
-            y = Tensor(rng.standard_normal((1, 3, 2, 2, 2)))
-            w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)))
-            lhs = float((conv3d(x, w, None, stride=2).data * y.data).sum())
-            rhs = float((x.data * conv_transpose3d(y, w, None, stride=2).data).sum())
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-        return worst < 1e-6
-
-    def erf_vs_math():
-        # both branches of the approximation and the tails, in both dtypes:
-        # float64 within 2 ulp of the C library's erf, float32 within 1 ulp
-        for dtype, ulps in ((np.float64, 2), (np.float32, 1)):
-            grid = np.linspace(-7.0, 7.0, 2801).astype(dtype)
-            want = np.array([math.erf(v) for v in grid.tolist()]).astype(dtype)
-            got = erf(grid)
-            if got.dtype != dtype or np.any(
-                np.abs(got - want) > ulps * np.spacing(np.abs(want))
-            ):
-                return False
-        return True
-
-    def vote_oracle():
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
-            masks = [rng.integers(0, 4, (3, 3, 3)) for _ in range(n)]
-            probs = [rng.random((4, 3, 3, 3)) for _ in range(n)]
-            got = majority_vote(masks, probs)
-            ref = reference.brute_force_vote(masks, probs)
-            if not np.array_equal(got, ref):
-                return False
-        return True
-
-    def postproc_oracle():
-        for _ in range(20):
-            mask = rng.integers(0, 4, (6, 6, 6))
-            thr = {1: 3, 2: 5, 3: 2}
-            got = volume_threshold_postprocess(mask, thr)
-            ref = reference.brute_force_postprocess(mask, thr)
-            if not np.array_equal(got, ref):
-                return False
-        return True
-
-    def hd95_oracle():
-        # random masks, then boxes touching opposite faces of the volume
-        pairs = [(rng.random((6, 6, 6)) < 0.2, rng.random((6, 6, 6)) < 0.2)
-                 for _ in range(10)]
-        for axis in range(3):
-            a = np.zeros((6, 6, 6), dtype=bool)
-            b = np.zeros((6, 6, 6), dtype=bool)
-            a[:2, 1:4, 2:5] = True
-            b[3:, 2:5, 1:3] = True
-            pairs.append((np.moveaxis(a, 0, axis), np.moveaxis(b, 0, axis)))
-        for spacing in ((1.0, 1.0, 1.0), (1.5, 1.0, 0.5)):
-            for a, b in pairs:
-                ref = reference.brute_force_hd95(a, b, spacing)
-                if abs(hd95(a, b, spacing) - ref) > 1e-9:
-                    return False
-        return True
-
-    def surface_oracle():
-        # masks that fill the array or touch every face, and extents of 1:
-        # a boundary voxel is a surface voxel even when its mask fills that
-        # axis, so padding the erosion with foreground would fail here
-        masks = [np.ones(shape, dtype=bool)
-                 for shape in ((1, 1, 1), (1, 4, 3), (3, 1, 1), (4, 5, 6))]
-        for shape in ((1, 5, 4), (5, 1, 2), (2, 3, 6), (6, 6, 6)):
-            m = rng.random(shape) < 0.7
-            m[0, 0, 0] = m[-1, -1, -1] = True
-            masks.append(m)
-        return all(np.array_equal(surface_voxels(m), reference.brute_force_surface(m))
-                   for m in masks)
-
-    def crop_vs_full():
-        # small labelled blobs in [1, 9)^3 of a 12^3 volume: the joint box
-        # lies strictly inside, so evaluate_case scores a real crop
-        def ratio(num, den):
-            return 1.0 if den == 0 else num / den
-
-        for spacing in ((1.0, 1.0, 1.0), (1.5, 1.0, 0.5)):
-            masks = []
-            for _ in range(2):
-                m = np.zeros((12, 12, 12), dtype=np.uint8)
-                for label in (2, 1, 4):
-                    lo = rng.integers(1, 7, 3)
-                    hi = lo + rng.integers(1, 4, 3)
-                    m[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = label
-                masks.append(m)
-            got = evaluate_case(masks[0], masks[1], spacing=spacing)
-            for region in REGIONS:
-                p, t = (np.isin(m, sorted(region.labels)) for m in masks)
-                tp = np.count_nonzero(p & t)
-                fp = np.count_nonzero(p & ~t)
-                fn = np.count_nonzero(~p & t)
-                tn = np.count_nonzero(~p & ~t)
-                want = {
-                    "dice": ratio(2 * tp, 2 * tp + fp + fn),
-                    "hd95": reference.brute_force_hd95(p, t, spacing),
-                    "sensitivity": ratio(tp, tp + fn),
-                    "specificity": ratio(tn, tn + fp),
-                }
-                scores = got[region.name]
-                if any(abs(scores[k] - want[k]) > 1e-9 for k in want):
-                    return False
-        return True
-
-    def roundtrips():
-        with tempfile.TemporaryDirectory() as td:
-            # the file holds the header, then the payload x-fastest, whatever
-            # the array's memory order; stdlib gzip must read it too
-            vol = rng.standard_normal((5, 3, 4)).astype(np.float32)
-            path = os.path.join(td, "v.nii.gz")
-            for arr in (vol, np.asfortranarray(vol)):
-                write_nifti(path, arr)
-                with gzip.open(path, "rb") as fh:
-                    raw = fh.read()
-                hdr, back = read_nifti(path)
-                payload = raw[hdr.vox_offset :]
-                if payload != vol.tobytes(order="F") or not np.array_equal(vol, back):
-                    return False
-            rec = make_sphere_case(size=16, radius=4)
-            cpath = os.path.join(td, "c.btrc")
-            cache_case(rec, cpath)
-            rec2 = load_case(cpath)
-            return np.array_equal(rec.volume.data, rec2.volume.data) and np.array_equal(
-                rec.label, rec2.label
-            )
-
-    run("conv3d vs naive loop oracle", conv_vs_naive)
-    run("conv3d input/weight grads vs naive (adjoint)", conv_grads_vs_naive)
-    run("conv3d kernels at edge extents, strides and dtypes", conv_edge_extents)
-    run("matmul vs triple loop oracle", matmul_vs_naive)
-    run("transposed conv adjointness", adjointness)
-    run("erf vs math.erf", erf_vs_math)
-    run("majority vote vs brute force", vote_oracle)
-    run("postprocess vs flood fill", postproc_oracle)
-    run("surface voxels vs brute-force oracle", surface_oracle)
-    run("hd95 vs all-pairs oracle", hd95_oracle)
-    run("evaluate_case on crop vs full-volume metrics", crop_vs_full)
-    run("file format roundtrips", roundtrips)
-    ok = all(checks)
+    ok = True
+    for name, check in reference.CHECKS.items():
+        passed = bool(check())
+        ok = ok and passed
+        print(f"{'PASS' if passed else 'FAIL'}  {name}")
     print("selftest", "PASSED" if ok else "FAILED")
     return 0 if ok else 2
 

@@ -2,15 +2,22 @@
 
 ``finite_difference_grad`` is the independent oracle: central differences,
 element by element, 64-bit. ``run_op_suite`` drives it over randomized
-instances of each op and reports the worst relative error per op; the
-``gradcheck`` CLI subcommand and the acceptance tests both call it.
+instances of each op and reports the worst relative error per op, and
+``gradient_suite`` adds a full-model spot check to it; the ``gradcheck``
+CLI subcommand and the acceptance tests both call that, and hold its
+results to ``OP_BOUND`` and ``MODEL_BOUND``.
 """
 
 import numpy as np
 
 from . import tensor as T
-from .model import group_norm
+from .model import BiTrUnetModel, ModelConfig, group_norm
 from .training import TrainConfig, loss_terms
+
+
+# bounds on the worst per-op and the full-model relative error
+OP_BOUND = 1e-4
+MODEL_BOUND = 1e-3
 
 
 def finite_difference_grad(f, x, h=1e-4):
@@ -309,3 +316,15 @@ def check_model_gradients(model, x, samples=50, seed=0, h=1e-6):
             err = min(err, err_at(smaller))
         worst = max(worst, err)
     return worst
+
+
+def gradient_suite(instances=20):
+    """(worst relative error per op, full-model error): ``run_op_suite`` over
+    ``instances`` random instances of each op, then 50 sampled parameters of
+    a small float64 model at 16^3."""
+    ops = run_op_suite(instances=instances, seed=0)
+    cfg = ModelConfig(in_channels=2, base_width=4, num_classes=4, embed_dim=16,
+                      vit_layers=1, heads=2, ffn_hidden=64, input_size=(16, 16, 16))
+    model = BiTrUnetModel(cfg, seed=0, dtype=np.float64)
+    x = T.Tensor(np.random.default_rng(1).standard_normal((1, 2, 16, 16, 16)))
+    return ops, check_model_gradients(model, x, samples=50, seed=2)

@@ -1,11 +1,30 @@
-"""Brute-force reference implementations.
+"""Brute-force oracles, and the one table of checks against them.
 
-These are deliberately naive (nested loops, exhaustive enumeration) and
-share no code with the production paths they are checked against. The
-``selftest`` CLI subcommand and the test suite both compare against them.
+The oracles (``naive_conv3d`` to ``brute_force_hd95``) are deliberately
+naive, with nested loops, exhaustive enumeration and all pairs, and call no
+production code, so a fault in the program cannot hide in its oracle too.
+Each entry of ``CHECKS`` runs part of the program on seeded inputs, compares
+it with an oracle and returns True when all agree within the bound its
+docstring gives. ``bitrunet selftest`` prints one line per entry in table
+order, and the tests call the same functions. Importing this module loads no
+scipy module; the program functions that need scipy import it when called.
 """
 
+import gzip
+import math
+import os
+import tempfile
+
 import numpy as np
+
+from . import kernels
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .data import CacheError, cache_case, load_case, make_sphere_case
+from .inference import majority_vote, volume_threshold_postprocess
+from .metrics import REGIONS, evaluate_case, hd95, surface_voxels
+from .model import BiTrUnetModel, ModelConfig
+from .nifti import NiftiError, read_nifti, write_nifti
+from .tensor import Tensor, conv3d, conv_transpose3d, erf, matmul
 
 
 def naive_conv3d(x, w, stride, pad):
@@ -155,8 +174,9 @@ def brute_force_surface(binary):
 
 
 def brute_force_hd95(pred, truth, spacing=(1.0, 1.0, 1.0)):
-    """All-pairs nearest-surface distances, pooled, 95th percentile; 373.1287
-    when exactly one mask has no surface."""
+    """Nearest-surface distances of every surface voxel against every
+    surface voxel of the other mask (no tree), both directions pooled, 95th
+    percentile; 373.1287 when exactly one mask has no surface."""
     ps = np.argwhere(brute_force_surface(pred)).astype(np.float64)
     ts = np.argwhere(brute_force_surface(truth)).astype(np.float64)
     if len(ps) == 0 and len(ts) == 0:
@@ -164,13 +184,326 @@ def brute_force_hd95(pred, truth, spacing=(1.0, 1.0, 1.0)):
     if len(ps) == 0 or len(ts) == 0:
         return 373.1287
     sp = np.asarray(spacing, dtype=np.float64)
-    dists = []
-    for src, dst in ((ps, ts), (ts, ps)):
-        for v in src:
-            best = np.inf
-            for u in dst:
-                d = np.sqrt((((v - u) * sp) ** 2).sum())
-                if d < best:
-                    best = d
-            dists.append(best)
+    dists = [np.sqrt((((v - dst) * sp) ** 2).sum(axis=1)).min()
+             for src, dst in ((ps, ts), (ts, ps)) for v in src]
     return float(np.percentile(np.asarray(dists), 95))
+
+
+# ---------------------------------------------------------------------------
+# the checks: the program against the oracles above
+# ---------------------------------------------------------------------------
+
+def _rel(lhs, rhs):
+    return abs(lhs - rhs) / max(abs(lhs), 1e-12)
+
+
+def conv_kernel_errors(x, w, gy, stride, pad, ref, dtype=np.float64):
+    """The max abs error of the forward conv kernel run in ``dtype`` against
+    the 7-loop output ``ref``, then the relative errors of the input and
+    weight gradients by <ref, gy> == <x, input_grad(gy)> ==
+    <w, weight_grad(x, gy)>; all inf when an output has the wrong shape or
+    dtype."""
+    xd, wd, gyd = (a.astype(dtype) for a in (x, w, gy))
+    outs = (kernels.conv3d_forward(xd, wd, stride, pad),
+            kernels.conv3d_input_grad(gyd, wd, stride, pad, x.shape[2:]),
+            kernels.conv3d_weight_grad(xd, gyd, stride, pad, w.shape[2:]))
+    if [(o.shape, o.dtype) for o in outs] != [(a.shape, np.dtype(dtype)) for a in (ref, x, w)]:
+        return (math.inf,) * 3
+    lhs = float((ref * gy).sum())
+    return (float(np.abs(outs[0] - ref).max()),
+            *(_rel(lhs, float((a * g).sum())) for a, g in zip((x, w), outs[1:])))
+
+
+def _conv_instances(rng):
+    """5 random (x, w) of each of three shapes, at strides 1 and 2 and
+    padding 0 and 1, each with its 7-loop output."""
+    for _ in range(5):
+        for x_shape, cout in (((1, 2, 5, 5, 5), 3), ((2, 2, 5, 5, 5), 3), ((2, 3, 6, 5, 7), 4)):
+            x = rng.standard_normal(x_shape)
+            w = rng.standard_normal((cout, x_shape[1], 3, 3, 3))
+            for stride, pad in ((1, 0), (1, 1), (2, 0), (2, 1)):
+                yield x, w, stride, pad, naive_conv3d(x, w, stride, pad)
+
+
+def check_conv_forward():
+    """conv3d_forward, and the tape's conv3d (padding 1), on
+    ``_conv_instances``; within 1e-10."""
+    for x, w, stride, pad, ref in _conv_instances(np.random.default_rng(0)):
+        if not conv_kernel_errors(x, w, np.zeros_like(ref), stride, pad, ref)[0] < 1e-10:
+            return False
+        if pad == 1:
+            y = conv3d(Tensor(x), Tensor(w), None, stride).data
+            if y.shape != ref.shape or not np.abs(y - ref).max() < 1e-10:
+                return False
+    return True
+
+
+def check_conv_grads():
+    """Both conv gradient kernels as adjoints of the 7-loop convolution, on
+    ``_conv_instances`` with 3 random output gradients each; within 1e-10
+    relative."""
+    rng = np.random.default_rng(1)
+    for x, w, stride, pad, ref in _conv_instances(rng):
+        for _ in range(3):
+            errors = conv_kernel_errors(x, w, rng.standard_normal(ref.shape), stride, pad, ref)
+            if not all(e < 1e-10 for e in errors[1:]):
+                return False
+    return True
+
+
+def check_conv_edge_extents():
+    """The three conv kernels, forward and adjoint, at extents of 1 and 2
+    voxels, mixed extents, odd extents at stride 2 with and without
+    padding; batch 2, 2->3 and 3->4 channels; float64 within 1e-10, float32
+    within 1e-4, each output in its input's dtype."""
+    rng = np.random.default_rng(2)
+    for spatial, stride, pad in (
+        ((1, 1, 1), 1, 1), ((2, 2, 2), 1, 1), ((2, 3, 4), 1, 1),
+        ((1, 1, 1), 2, 1), ((2, 2, 2), 2, 1), ((2, 3, 4), 2, 1),
+        ((5, 7, 3), 2, 0), ((5, 7, 3), 2, 1), ((3, 5, 9), 2, 0), ((7, 3, 5), 2, 1),
+    ):
+        for cin, cout in ((2, 3), (3, 4)):
+            x = rng.standard_normal((2, cin) + spatial)
+            w = rng.standard_normal((cout, cin, 3, 3, 3))
+            ref = naive_conv3d(x, w, stride, pad)
+            gy = rng.standard_normal(ref.shape)
+            for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
+                if not all(e < tol for e in conv_kernel_errors(x, w, gy, stride, pad, ref, dtype)):
+                    return False
+    return True
+
+
+def check_matmul():
+    """tensor.matmul, 5 random (4, 5) @ (5, 3); within 1e-10."""
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
+        if not np.abs(matmul(Tensor(a), Tensor(b)).data - naive_matmul(a, b)).max() < 1e-10:
+            return False
+    return True
+
+
+def check_transposed_conv():
+    """<conv3d(x), y> == <x, conv_transpose3d(y)> with one weight: strides 1
+    and 2 on 4^3, stride 1 on (3, 4, 5), stride 2 on (4, 4, 6), with and
+    without an explicit output size, 5 instances each; within 1e-6
+    relative."""
+    rng = np.random.default_rng(4)
+    for spatial, stride in (((4, 4, 4), 1), ((4, 4, 4), 2), ((3, 4, 5), 1), ((4, 4, 6), 2)):
+        for size in (None, spatial) * 5:
+            x = rng.standard_normal((1, 2) + spatial)
+            w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)))
+            cx = conv3d(Tensor(x), w, None, stride).data
+            y = rng.standard_normal(cx.shape)
+            ty = conv_transpose3d(Tensor(y), w, None, stride, output_size=size).data
+            if ty.shape != x.shape or not _rel((cx * y).sum(), (x * ty).sum()) < 1e-6:
+                return False
+    return True
+
+
+def check_erf():
+    """tensor.erf against math.erf on 2,801 points of [-7, 7] (both branches
+    and the tails): float64 within 2 ulp, float32 within 1 ulp, each
+    returned in its input's dtype."""
+    for dtype, ulps in ((np.float64, 2), (np.float32, 1)):
+        grid = np.linspace(-7.0, 7.0, 2801).astype(dtype)
+        want = np.array([math.erf(v) for v in grid.tolist()]).astype(dtype)
+        got = erf(grid)
+        if got.dtype != dtype or not np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))):
+            return False
+    return True
+
+
+def check_vote():
+    """majority_vote: 1 to 5 models on 120 random shapes of extents 1 to 4,
+    then on 30 of 3^3, every other one with 2 models. Every third instance
+    draws its probabilities from {0.2, 0.4}, forcing exact averaged ties
+    that the lowest label must win. Exact equality."""
+    rng = np.random.default_rng(5)
+    for trial in range(150):
+        n = 2 if trial >= 120 and trial % 2 else trial % 5 + 1
+        shape = (3, 3, 3) if trial >= 120 else tuple(int(s) for s in rng.integers(1, 5, 3))
+        draw = (lambda s: rng.choice([0.2, 0.4], s)) if trial % 3 == 2 else rng.random
+        probs = [draw((4,) + shape) for _ in range(n)]
+        masks = [rng.integers(0, 4, shape) for _ in range(n)]
+        if not np.array_equal(majority_vote(masks, probs), brute_force_vote(masks, probs)):
+            return False
+    return True
+
+
+def check_postprocess():
+    """volume_threshold_postprocess, and that it leaves its own output
+    unchanged: 110 random 4-label 8^3 masks and 20 of 6^3, a threshold of 1
+    to 10 voxels per label. Exact equality."""
+    rng = np.random.default_rng(6)
+    for shape in [(8, 8, 8)] * 110 + [(6, 6, 6)] * 20:
+        mask = rng.integers(0, 4, shape)
+        thr = {c: int(rng.integers(1, 11)) for c in (1, 2, 3)}
+        once = volume_threshold_postprocess(mask, thr)
+        if not (np.array_equal(once, brute_force_postprocess(mask, thr))
+                and np.array_equal(volume_threshold_postprocess(once, thr), once)):
+            return False
+    return True
+
+
+def check_surface():
+    """surface_voxels as bool and uint8 on 14 shapes with extents of 1 and
+    2: the full mask (a boundary voxel is a surface voxel even where its
+    mask fills that axis) and 5 random masks at each of 4 densities, each
+    also with both corners set; then a mask touching all six faces and a
+    strided view. Exact equality and a bool result."""
+    rng = np.random.default_rng(7)
+    masks = []
+    for shape in ((1, 1, 1), (1, 1, 5), (1, 4, 3), (1, 5, 4), (1, 7, 4), (2, 1, 3), (2, 2, 2),
+                  (2, 3, 6), (3, 1, 1), (3, 5, 7), (4, 5, 6), (5, 1, 2), (6, 6, 6), (9, 2, 5)):
+        masks.append(np.ones(shape, dtype=bool))
+        for density in (0.3, 0.4, 0.7, 0.8) * 5:
+            m = rng.random(shape) < density
+            masks.append(m.copy())
+            m[0, 0, 0] = m[-1, -1, -1] = True
+            masks.append(m)
+    faces = np.zeros((7, 6, 5), dtype=bool)
+    faces[:, 1:5, 1:4] = faces[2:5, :, 2] = faces[3, 3, :] = True
+    masks += [faces, (rng.random((9, 8, 10)) < 0.7)[1:8, ::2, 9:0:-3]]
+    for mask in masks + [m.astype(np.uint8) for m in masks]:
+        got = surface_voxels(mask)
+        if got.dtype != bool or not np.array_equal(got, brute_force_surface(mask)):
+            return False
+    return True
+
+
+def check_hd95():
+    """hd95 both ways round at unit and three anisotropic spacings: 110
+    random 8^3 and 20 random 6^3 pairs of density 0.05 to 0.5; per axis,
+    boxes and 3 random masks on opposite faces; a core nested far inside a
+    box that fills the array on four faces; both masks empty, and one.
+    Within 1e-9."""
+    rng = np.random.default_rng(8)
+    pairs = []
+    for shape in [(8, 8, 8)] * 110 + [(6, 6, 6)] * 20:
+        density = rng.uniform(0.05, 0.5)
+        pairs.append((rng.random(shape) < density, rng.random(shape) < density))
+    for axis in range(3):
+        a, b = np.zeros((6, 6, 6), dtype=bool), np.zeros((6, 6, 6), dtype=bool)
+        a[:2, 1:4, 2:5] = b[3:, 2:5, 1:3] = True
+        pairs.append((np.moveaxis(a, 0, axis), np.moveaxis(b, 0, axis)))
+        for _ in range(3):
+            a, b = np.zeros((7, 6, 8), dtype=bool), np.zeros((7, 6, 8), dtype=bool)
+            a[:3], b[4:] = rng.random((2, 3, 6, 8)) < 0.4
+            a[0, 0, 0] = b[-1, -1, -1] = True
+            pairs.append((np.moveaxis(a, 0, axis), np.moveaxis(b, 0, axis)))
+    outer, empty = np.zeros((18, 16, 15), dtype=bool), np.zeros((8, 8, 8), dtype=bool)
+    outer[:, 1:15, :] = True
+    inner, one = np.zeros_like(outer), empty.copy()
+    inner[8:10, 7:9, 6:9] = one[4, 4, 4] = True
+    pairs += [(outer, inner), (empty, empty), (one, empty)]
+    for spacing in ((1.0, 1.0, 1.0), (1.5, 1.0, 0.5), (0.7, 2.5, 1.3), (1.2, 0.9, 2.0)):
+        for a, b in pairs:
+            ref = brute_force_hd95(a, b, spacing)
+            if not all(abs(hd95(*ab, spacing) - ref) <= 1e-9 for ab in ((a, b), (b, a))):
+                return False
+    return True
+
+
+def check_evaluate_crop():
+    """evaluate_case, which scores the joint bounding box, against counts
+    and the all-pairs HD95 of the full volume: blobs of labels 2, 1 and 4 in
+    [1, 9)^3 of a 12^3 volume, so the box lies strictly inside, at unit and
+    two anisotropic spacings. Within 1e-9."""
+    rng = np.random.default_rng(9)
+
+    def ratio(num, den):
+        return 1.0 if den == 0 else num / den
+
+    for spacing in ((1.0, 1.0, 1.0), (1.5, 1.0, 0.5), (1.0, 1.5, 0.8)):
+        masks = []
+        for _ in range(2):
+            m = np.zeros((12, 12, 12), dtype=np.uint8)
+            for label in (2, 1, 4):
+                lo = rng.integers(1, 7, 3)
+                hi = lo + rng.integers(1, 4, 3)
+                m[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = label
+            masks.append(m)
+        got = evaluate_case(masks[0], masks[1], spacing=spacing)
+        for region in REGIONS:
+            p, t = (np.isin(m, sorted(region.labels)) for m in masks)
+            tp = np.count_nonzero(p & t)
+            fp = np.count_nonzero(p & ~t)
+            fn = np.count_nonzero(~p & t)
+            tn = np.count_nonzero(~p & ~t)
+            want = {
+                "dice": ratio(2 * tp, 2 * tp + fp + fn),
+                "hd95": brute_force_hd95(p, t, spacing),
+                "sensitivity": ratio(tp, tp + fn),
+                "specificity": ratio(tn, tn + fp),
+            }
+            if not all(abs(got[region.name][k] - want[k]) <= 1e-9 for k in want):
+                return False
+    return True
+
+
+def check_roundtrips():
+    """NIfTI (gzip and plain, from C- and Fortran-ordered arrays; the file
+    holds the header, then the payload x-fastest, and stdlib gzip reads
+    it), the case cache and a checkpoint each read back bit-exact; a bad
+    NIfTI magic, a flipped cache CRC byte and a bad checkpoint magic each
+    raise the format's own error."""
+    rng = np.random.default_rng(10)
+    with tempfile.TemporaryDirectory() as td:
+        path = {name: os.path.join(td, name)
+                for name in ("v.nii.gz", "v.nii", "c.btrc", "m.ckpt", "bad")}
+        for shape in ((5, 3, 4), (5, 4, 6)):
+            vol = rng.standard_normal(shape).astype(np.float32)
+            for arr in (vol, np.asfortranarray(vol)):
+                for name, opener in (("v.nii.gz", gzip.open), ("v.nii", open)):
+                    write_nifti(path[name], arr)
+                    with opener(path[name], "rb") as fh:
+                        raw = fh.read()
+                    hdr, back = read_nifti(path[name])
+                    if not (raw[hdr.vox_offset:] == vol.tobytes(order="F")
+                            and np.array_equal(vol, back)):
+                        return False
+        for seed in (42, 5):
+            rec = make_sphere_case(size=16, radius=4, seed=seed)
+            cache_case(rec, path["c.btrc"])
+            back = load_case(path["c.btrc"])
+            if not (np.array_equal(rec.volume.data, back.volume.data)
+                    and np.array_equal(rec.label, back.label)):
+                return False
+        cfg = ModelConfig(in_channels=2, base_width=4, num_classes=4, embed_dim=16,
+                          vit_layers=1, heads=2, ffn_hidden=32, input_size=(16, 16, 16))
+        model = BiTrUnetModel(cfg, seed=4, dtype=np.float32)
+        save_checkpoint(model, path["m.ckpt"])
+        loaded = load_checkpoint(path["m.ckpt"]).params
+        if any(not np.array_equal(t.data, loaded[k].data) for k, t in model.params.items()):
+            return False
+        for name, corrupt, reader, error in (
+            ("v.nii", lambda b: b[:344] + b"ni5\x00" + b[348:], read_nifti, NiftiError),
+            ("c.btrc", lambda b: b[:-1] + bytes([b[-1] ^ 0x01]), load_case, CacheError),
+            ("m.ckpt", lambda b: b"XXXX" + b[4:], load_checkpoint, CheckpointError),
+        ):
+            with open(path[name], "rb") as src, open(path["bad"], "wb") as dst:
+                dst.write(corrupt(src.read()))
+            try:
+                reader(path["bad"])
+                return False
+            except error:
+                pass
+    return True
+
+
+# name -> check, in the order ``bitrunet selftest`` runs and prints them
+CHECKS = {
+    "conv3d vs naive loop oracle": check_conv_forward,
+    "conv3d input/weight grads vs naive (adjoint)": check_conv_grads,
+    "conv3d kernels at edge extents, strides and dtypes": check_conv_edge_extents,
+    "matmul vs triple loop oracle": check_matmul,
+    "transposed conv adjointness": check_transposed_conv,
+    "erf vs math.erf": check_erf,
+    "majority vote vs brute force": check_vote,
+    "postprocess vs flood fill": check_postprocess,
+    "surface voxels vs brute-force oracle": check_surface,
+    "hd95 vs all-pairs oracle": check_hd95,
+    "evaluate_case on crop vs full-volume metrics": check_evaluate_crop,
+    "file format roundtrips": check_roundtrips,
+}

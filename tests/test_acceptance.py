@@ -10,26 +10,10 @@ import numpy as np
 import pytest
 
 from bitrunet import reference
-from bitrunet.checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-)
-from bitrunet.data import (
-    CacheError,
-    cache_case,
-    load_case,
-    make_sphere_case,
-)
-from bitrunet.gradcheck import check_model_gradients, run_op_suite
-from bitrunet.inference import (
-    apply_flip,
-    flip_combos,
-    majority_vote,
-    tta_predict,
-    volume_threshold_postprocess,
-)
-from bitrunet.metrics import HD95_EMPTY_SENTINEL, dice, hd95
+from bitrunet.data import make_sphere_case
+from bitrunet.gradcheck import MODEL_BOUND, OP_BOUND, gradient_suite
+from bitrunet.inference import apply_flip, flip_combos, tta_predict
+from bitrunet.metrics import dice
 from bitrunet.model import (
     BiTrUnetModel,
     ModelConfig,
@@ -37,7 +21,6 @@ from bitrunet.model import (
     _Builder,
     transformer_layer,
 )
-from bitrunet.nifti import NiftiError, read_nifti, write_nifti
 from bitrunet.tensor import Tensor
 from bitrunet.training import (
     TrainConfig,
@@ -57,16 +40,10 @@ def _report(num, name, ok, detail=""):
 
 def test_01_gradient_suite():
     t0 = time.time()
-    results = run_op_suite(instances=20, seed=0)
-    worst_op = max(results.values())
-    cfg = ModelConfig(in_channels=2, base_width=4, num_classes=4, embed_dim=16,
-                      vit_layers=1, heads=2, ffn_hidden=64,
-                      input_size=(16, 16, 16))
-    model = BiTrUnetModel(cfg, seed=0, dtype=np.float64)
-    x = Tensor(np.random.default_rng(1).standard_normal((1, 2, 16, 16, 16)))
-    model_err = check_model_gradients(model, x, samples=50, seed=2)
+    ops, model_err = gradient_suite(instances=20)
+    worst_op = max(ops.values())
     elapsed = time.time() - t0
-    ok = worst_op < 1e-4 and model_err < 1e-3 and elapsed < 300
+    ok = worst_op < OP_BOUND and model_err < MODEL_BOUND and elapsed < 300
     _report(1, "gradient suite", ok,
             f"worst op {worst_op:.2e}, full model {model_err:.2e}, {elapsed:.0f}s")
 
@@ -144,28 +121,12 @@ def test_05_tta_equivariance():
 
 
 def test_06_voting_oracle():
-    checked = 0
-    ok = True
-    for trial in range(120):
-        n = int(rng.integers(1, 6))
-        shape = tuple(int(s) for s in rng.integers(1, 5, 3))
-        if trial % 3 == 0:
-            # quantized probabilities force exact averaged-probability ties,
-            # exercising the lowest-index rule behind the probability rule
-            probs = [rng.choice([0.2, 0.4], (4,) + shape) for _ in range(n)]
-        else:
-            probs = [rng.random((4,) + shape) for _ in range(n)]
-        masks = [rng.integers(0, 4, shape) for _ in range(n)]
-        got = majority_vote(masks, probs)
-        ref = reference.brute_force_vote(masks, probs)
-        ok = ok and np.array_equal(got, ref)
-        checked += 1
-    _report(6, "majority vote brute-force oracle", ok and checked >= 100,
-            f"{checked} random instances, exact equality")
+    _report(6, "majority vote brute-force oracle", reference.check_vote(),
+            "150 random instances, exact equality")
 
 
 def test_07_metrics_oracle():
-    ok = True
+    ok = reference.check_hd95()
     for _ in range(110):
         density = rng.uniform(0.05, 0.5)
         a = rng.random((8, 8, 8)) < density
@@ -174,80 +135,21 @@ def test_07_metrics_oracle():
         inter = int((a & b).sum())
         dice_ref = 1.0 if na + nb == 0 else 2.0 * inter / (na + nb)
         ok = ok and dice(a, b) == dice_ref
-        ok = ok and abs(hd95(a, b) - reference.brute_force_hd95(a, b)) < 1e-9
     empty = np.zeros((8, 8, 8), bool)
     one = empty.copy()
     one[4, 4, 4] = True
-    ok = ok and dice(empty, empty) == 1.0
-    ok = ok and dice(one, empty) == 0.0
-    ok = ok and hd95(empty, empty) == 0.0
-    ok = ok and hd95(one, empty) == HD95_EMPTY_SENTINEL
+    ok = ok and dice(empty, empty) == 1.0 and dice(one, empty) == 0.0
     _report(7, "dice and hd95 brute-force oracles", ok,
             "110 random 8^3 pairs + empty-set conventions")
 
 
 def test_08_postprocess_oracle():
-    ok = True
-    for _ in range(110):
-        mask = rng.integers(0, 4, (8, 8, 8))
-        thr = {c: int(rng.integers(1, 11)) for c in (1, 2, 3)}
-        once = volume_threshold_postprocess(mask, thr)
-        ref = reference.brute_force_postprocess(mask, thr)
-        ok = ok and np.array_equal(once, ref)
-        ok = ok and np.array_equal(volume_threshold_postprocess(once, thr), once)
-    _report(8, "postprocessing flood-fill oracle + idempotence", ok,
-            "110 random 8^3 masks, exact equality")
+    _report(8, "postprocessing flood-fill oracle + idempotence",
+            reference.check_postprocess(), "110 random 8^3 and 20 6^3 masks, exact equality")
 
 
-def test_09_format_roundtrips(tmp_path):
-    ok = True
-    # NIfTI float32
-    vol = rng.standard_normal((5, 4, 6)).astype(np.float32)
-    write_nifti(tmp_path / "v.nii.gz", vol)
-    _, back = read_nifti(tmp_path / "v.nii.gz")
-    ok = ok and np.array_equal(vol, back)
-    plain = tmp_path / "p.nii"
-    write_nifti(plain, vol)
-    raw = bytearray(plain.read_bytes())
-    raw[344:348] = b"ni5\x00"
-    (tmp_path / "bad.nii").write_bytes(bytes(raw))
-    try:
-        read_nifti(tmp_path / "bad.nii")
-        ok = False
-    except NiftiError:
-        pass
-    # case cache
-    rec = make_sphere_case(size=16, radius=4, seed=5)
-    cache_case(rec, tmp_path / "c.btrc")
-    rec2 = load_case(tmp_path / "c.btrc")
-    ok = ok and np.array_equal(rec.volume.data, rec2.volume.data)
-    ok = ok and np.array_equal(rec.label, rec2.label)
-    corrupted = bytearray((tmp_path / "c.btrc").read_bytes())
-    corrupted[-1] ^= 0x01  # flip a CRC byte
-    (tmp_path / "bad.btrc").write_bytes(bytes(corrupted))
-    try:
-        load_case(tmp_path / "bad.btrc")
-        ok = False
-    except CacheError:
-        pass
-    # checkpoint
-    cfg = ModelConfig(in_channels=2, base_width=4, num_classes=4, embed_dim=16,
-                      vit_layers=1, heads=2, ffn_hidden=32,
-                      input_size=(16, 16, 16))
-    model = BiTrUnetModel(cfg, seed=4, dtype=np.float32)
-    save_checkpoint(model, tmp_path / "m.ckpt")
-    loaded = load_checkpoint(tmp_path / "m.ckpt")
-    for name, t in model.params.items():
-        ok = ok and np.array_equal(t.data, loaded.params[name].data)
-    ck = bytearray((tmp_path / "m.ckpt").read_bytes())
-    ck[:4] = b"XXXX"
-    (tmp_path / "bad.ckpt").write_bytes(bytes(ck))
-    try:
-        load_checkpoint(tmp_path / "bad.ckpt")
-        ok = False
-    except CheckpointError:
-        pass
-    _report(9, "format roundtrips + corruption rejection", ok,
+def test_09_format_roundtrips():
+    _report(9, "format roundtrips + corruption rejection", reference.check_roundtrips(),
             "NIfTI, cache, checkpoint bit-exact; bad magic and CRC rejected")
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bitrunet
+from bitrunet import reference
 from bitrunet.checkpoint import load_checkpoint, save_checkpoint
 from bitrunet.cli import _TRAIN_KEYS, _load_train_config, cli
 from bitrunet.data import cache_case, load_case, make_sphere_case
@@ -687,11 +688,26 @@ class TestChecks(object):
 
     def test_selftest_exits_zero(self, capsys):
         assert cli(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out.replace("PASSED", "")
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"PASS  {name}" for name in reference.CHECKS] + ["selftest PASSED"]
+        assert len(out) == 13
         assert "PASS  conv3d input/weight grads vs naive (adjoint)" in out
         assert "PASS  evaluate_case on crop vs full-volume metrics" in out
         assert "PASS  conv3d kernels at edge extents, strides and dtypes" in out
+
+    def test_selftest_failing_check(self, monkeypatch, capsys):
+        # a failure is reported and the checks after it still run
+        monkeypatch.setattr(reference, "CHECKS", {
+            "broken": lambda: False, "sound": lambda: True,
+        })
+        assert cli(["selftest"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL  broken", "PASS  sound", "selftest FAILED",
+        ]
+
+    @pytest.mark.parametrize("name", list(reference.CHECKS))
+    def test_oracle_check(self, name):
+        assert reference.CHECKS[name]() is True
 
 
 def _scipy_modules_after(statements):
@@ -768,6 +784,14 @@ class TestUsage(object):
 
     def test_missing_required(self):
         assert cli(["predict"]) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_gradcheck_instances_not_a_positive_count(self, capsys, value):
+        # zero instances would check nothing and still pass
+        assert cli(["gradcheck", "--instances", value]) == 1
+        captured = capsys.readouterr()
+        assert "--instances" in captured.err
+        assert "PASSED" not in captured.out
 
     @pytest.mark.parametrize("value", ["-1", "-50"])
     def test_negative_postproc_threshold(self, workspace, tmp_path, capsys, value):
