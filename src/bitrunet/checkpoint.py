@@ -18,8 +18,9 @@ checked after the whole file parses, so a malformed file is reported by
 its first bad field and a well-formed one with a flipped bit by its CRC32.
 """
 
-import math
+import os
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -35,25 +36,42 @@ class CheckpointError(ValueError):
 
 
 class _Reader:
-    """Bounds-checked reads from a byte buffer; running past its end raises
-    ``error`` naming the field and the byte offset. The case cache reads
-    through it too."""
+    """Bounds-checked reads from a binary stream of ``size`` bytes; running
+    past its end raises ``error`` naming the field and the byte offset.
+    Keeps the CRC32 of every byte read so far. The case cache reads through
+    it too."""
 
-    def __init__(self, buf, label, error=CheckpointError):
-        self.buf = buf
+    def __init__(self, fh, size, label, error=CheckpointError):
+        self.fh = fh
+        self.size = size
         self.pos = 0
+        self.crc = 0
         self.label = label
         self.error = error
 
-    def take(self, n, what):
-        if self.pos + n > len(self.buf):
+    def _fits(self, n, what, got):
+        """Advance past a read of ``n`` bytes that got ``got``; fewer, or
+        None for a read not tried, means the stream ended first."""
+        if got != n:
             raise self.error(
                 f"{self.label}: truncated while reading {what} at byte {self.pos} "
-                f"(need {n} bytes, {len(self.buf) - self.pos} left)"
+                f"(need {n} bytes, {self.size - self.pos} left)"
             )
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
+
+    def take(self, n, what):
+        out = self.fh.read(n) if self.pos + n <= self.size else b""
+        self._fits(n, what, len(out))
+        self.crc = zlib.crc32(out, self.crc)
         return out
+
+    def read_into(self, array, what):
+        """Fill the C-contiguous ``array`` from the stream with no
+        intermediate copy."""
+        view = memoryview(array).cast("B")
+        n = view.nbytes
+        self._fits(n, what, self.fh.readinto(view) if self.pos + n <= self.size else None)
+        self.crc = zlib.crc32(view, self.crc)
 
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -85,70 +103,71 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Rebuild the model from a checkpoint written by ``save_checkpoint``."""
+    """Rebuild the model from a checkpoint written by ``save_checkpoint``,
+    reading each parameter straight into the model's own array."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf, str(path))
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise CheckpointError(
-            f"{path}: bad magic {magic!r} at byte 0, expected {MAGIC!r}"
-        )
-    version = r.u32("version")
-    if version not in (1, VERSION):
-        raise CheckpointError(
-            f"{path}: unsupported version {version} at byte 4, expected 1 or {VERSION}"
-        )
-    cfg_len = r.u32("config length")
-    raw_config = r.take(cfg_len, "config")
-    try:
-        config = ModelConfig.from_text(raw_config.decode())
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: bad config block at byte 12: {exc}") from exc
-    model = BiTrUnetModel(config, seed=None, dtype=np.float32)
-    n_params = r.u32("parameter count")
-    if n_params != len(model.params):
-        raise CheckpointError(
-            f"{path}: {n_params} parameters in file, model needs "
-            f"{len(model.params)}"
-        )
-    seen = set()
-    for _ in range(n_params):
-        name_len = r.u32("name length")
-        name_at = r.pos
+        r = _Reader(fh, os.fstat(fh.fileno()).st_size, str(path))
+        magic = r.take(4, "magic")
+        if magic != MAGIC:
+            raise CheckpointError(
+                f"{path}: bad magic {magic!r} at byte 0, expected {MAGIC!r}"
+            )
+        version = r.u32("version")
+        if version not in (1, VERSION):
+            raise CheckpointError(
+                f"{path}: unsupported version {version} at byte 4, expected 1 or {VERSION}"
+            )
+        cfg_len = r.u32("config length")
+        raw_config = r.take(cfg_len, "config")
         try:
-            name = r.take(name_len, "name").decode()
-        except UnicodeDecodeError as exc:
+            config = ModelConfig.from_text(raw_config.decode())
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad config block at byte 12: {exc}") from exc
+        model = BiTrUnetModel(config, seed=None, dtype=np.float32)
+        n_params = r.u32("parameter count")
+        if n_params != len(model.params):
             raise CheckpointError(
-                f"{path}: parameter name at byte {name_at} is not UTF-8 ({exc.reason})"
-            ) from exc
-        if name not in model.params:
-            raise CheckpointError(
-                f"{path}: unknown parameter {name!r} near byte {r.pos}"
+                f"{path}: {n_params} parameters in file, model needs "
+                f"{len(model.params)}"
             )
-        if name in seen:
+        seen = set()
+        for _ in range(n_params):
+            name_len = r.u32("name length")
+            name_at = r.pos
+            try:
+                name = r.take(name_len, "name").decode()
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(
+                    f"{path}: parameter name at byte {name_at} is not UTF-8 ({exc.reason})"
+                ) from exc
+            if name not in model.params:
+                raise CheckpointError(
+                    f"{path}: unknown parameter {name!r} near byte {r.pos}"
+                )
+            if name in seen:
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} repeated at byte {name_at}"
+                )
+            seen.add(name)
+            rank = r.u32(f"{name} rank")
+            dims = r.unpack(f"<{rank}I", f"{name} dims")
+            t = model.params[name]
+            if dims != t.shape:
+                raise CheckpointError(
+                    f"{path}: parameter {name} has dims {dims} in file, "
+                    f"expected {t.shape}"
+                )
+            r.read_into(t.data, f"{name} data")
+            if sys.byteorder == "big":
+                t.data.byteswap(inplace=True)
+        body_end, body_crc = r.pos, r.crc
+        stored = r.u32("CRC32") if version >= 2 else None
+        if r.pos != r.size:
             raise CheckpointError(
-                f"{path}: parameter {name!r} repeated at byte {name_at}"
+                f"{path}: {r.size - r.pos} trailing bytes at byte {r.pos}"
             )
-        seen.add(name)
-        rank = r.u32(f"{name} rank")
-        dims = r.unpack(f"<{rank}I", f"{name} dims")
-        t = model.params[name]
-        if dims != t.shape:
+        if stored is not None and body_crc != stored:
             raise CheckpointError(
-                f"{path}: parameter {name} has dims {dims} in file, "
-                f"expected {t.shape}"
+                f"{path}: CRC32 mismatch at byte {body_end}, file is corrupt"
             )
-        raw = r.take(4 * math.prod(dims), f"{name} data")
-        t.data = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    body_end = r.pos
-    stored = r.u32("CRC32") if version >= 2 else None
-    if r.pos != len(buf):
-        raise CheckpointError(
-            f"{path}: {len(buf) - r.pos} trailing bytes at byte {r.pos}"
-        )
-    if stored is not None and zlib.crc32(memoryview(buf)[:body_end]) != stored:
-        raise CheckpointError(
-            f"{path}: CRC32 mismatch at byte {body_end}, file is corrupt"
-        )
-    return model
+        return model

@@ -420,7 +420,13 @@ def _cmd_gradcheck(args):
 def _cmd_selftest(args):
     ok = True
     for name, check in reference.CHECKS.items():
-        passed = bool(check())
+        # a check that raises fails alone; the ones after it still run
+        try:
+            passed = bool(check())
+        except Exception as exc:
+            print(f"FAIL  {name}: {type(exc).__name__}: {exc}")
+            ok = False
+            continue
         ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
     print("selftest", "PASSED" if ok else "FAILED")

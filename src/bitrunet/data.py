@@ -14,6 +14,7 @@ Cache file layout (little-endian, trailing CRC32 of everything before it):
     crc      u32, CRC32 of all preceding bytes
 """
 
+import io
 import math
 import struct
 import zlib
@@ -151,7 +152,7 @@ def load_case(path):
     body, crc_stored = buf[:-4], struct.unpack("<I", buf[-4:])[0]
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
         raise CacheError(f"{path}: CRC32 mismatch, file is corrupt")
-    r = _Reader(body, str(path), CacheError)
+    r = _Reader(io.BytesIO(body), len(body), str(path), CacheError)
     r.take(4, "magic")  # checked above
     version = r.u32("version")
     if version != CACHE_VERSION:

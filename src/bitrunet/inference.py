@@ -8,9 +8,12 @@ labels 0..K-1 to the external vocabulary {0, 1, 2, 4} at the very end.
 """
 
 import itertools
+import os
+import threading
 
 import numpy as np
 
+from . import tensor
 from .tensor import Tensor
 
 # external BraTS-style label values, index = internal label
@@ -63,12 +66,37 @@ def predict_probs(model, x):
     return _model_probs(model, np.asarray(x))
 
 
+def _blas_threads_api():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None when neither a build bundled with numpy nor a system one is found."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
 def tta_predict(model, x):
     """Mean class probabilities over the 8 flip variants of the input.
 
     Each variant is flipped, pushed through the model, softmaxed, and
-    un-flipped before averaging (in float64, so the average is invariant to
-    the order the variants are visited in).
+    un-flipped before averaging in float64. The variants are independent,
+    so two threads (the caller's and one worker) each take the next
+    unstarted one while OpenBLAS is held to one thread; the sum is still
+    taken in ``flip_combos()`` order, so the result does not depend on
+    which thread ran which variant. With one usable CPU, or no OpenBLAS
+    thread control, the caller's thread runs them all.
     """
     x = np.asarray(x)
     for ax in range(1, 4):
@@ -77,11 +105,60 @@ def tta_predict(model, x):
                 f"tta_predict: spatial axis {ax} size {x.shape[ax]} "
                 f"is not divisible by 16"
             )
-    acc = None
-    for combo in flip_combos():
-        probs = _model_probs(model, np.ascontiguousarray(apply_flip(x, combo)))
-        probs = apply_flip(probs, combo)
-        acc = probs.copy() if acc is None else acc + probs
+    if tensor._ACTIVE_TAPE is not None:
+        raise ValueError("tta_predict: a Tape is active; TTA runs without one")
+    combos = flip_combos()
+    lock = threading.Lock()
+    started = added = 0
+    finished = {}
+    acc = error = None
+
+    def run():
+        nonlocal started, added, acc, error
+        while True:
+            with lock:
+                if error is not None or started == len(combos):
+                    return
+                i, started = started, started + 1
+            try:
+                combo = combos[i]
+                probs = _model_probs(model, np.ascontiguousarray(apply_flip(x, combo)))
+                with lock:
+                    # add in flip_combos() order, holding those that finish early
+                    finished[i] = apply_flip(probs, combo)
+                    while added in finished:
+                        probs = finished.pop(added)
+                        if acc is None:
+                            acc = probs.copy()
+                        else:
+                            acc += probs
+                        added += 1
+            except BaseException as exc:
+                with lock:
+                    error = error or exc
+                return
+
+    blas = _blas_threads_api()
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # not Linux: every CPU counts
+        cpus = os.cpu_count() or 1
+    if blas is None or cpus < 2:
+        run()
+    else:
+        get, put = blas
+        before = get()
+        put(1)
+        worker = threading.Thread(target=run)
+        try:
+            worker.start()
+            run()
+        finally:
+            if worker.is_alive():
+                worker.join()
+            put(before)
+    if error is not None:
+        raise error
     return acc / 8.0
 
 

@@ -414,19 +414,16 @@ class BiTrUnetModel:
                     f"forward: spatial axis {ax} size {x.shape[ax]} "
                     f"is not divisible by 16"
                 )
-        f0 = self.init_block(x)
-        feats = [f0]
-        f = f0
+        # [init, e1, e2, e3, e4], e3 then replaced by its transformer's
+        # output; the decoder pops each map as it reads it, so no map
+        # outlives its last reader
+        skips = [self.init_block(x)]
         for stage, cbam in zip(self.enc, self.enc_cbam):
-            f = cbam_apply(stage(f), cbam)
-            feats.append(f)
-        skips = [feats[2], feats[1], feats[0]]  # e2, e1, init
-        y = self.vit_bottleneck(feats[4])
-        vit_skip_out = self.vit_skip(feats[3])
-        for i, (up, fuse) in enumerate(zip(self.dec_up, self.dec_fuse)):
-            y = up(y)
-            skip = vit_skip_out if i == 0 else skips[i - 1]
-            y = fuse(concat([y, skip], axis=1))
+            skips.append(cbam_apply(stage(skips[-1]), cbam))
+        y = self.vit_bottleneck(skips.pop())
+        skips.append(self.vit_skip(skips.pop()))
+        for up, fuse in zip(self.dec_up, self.dec_fuse):
+            y = fuse(concat([up(y), skips.pop()], axis=1))
         return conv3d(y, self.final_w, self.final_b)
 
     def __call__(self, x):

@@ -705,6 +705,27 @@ class TestChecks(object):
             "FAIL  broken", "PASS  sound", "selftest FAILED",
         ]
 
+    def test_selftest_raising_check(self, monkeypatch, capsys):
+        # a check that raises fails with its exception named, whatever its
+        # type, and the checks after it still run
+        def raises(exc):
+            def check():
+                raise exc
+            return check
+
+        monkeypatch.setattr(reference, "CHECKS", {
+            "sound": lambda: True,
+            "broken": lambda: False,
+            "typed": raises(ValueError("bad cache")),
+            "untyped": raises(KeyError("w")),
+            "last": lambda: True,
+        })
+        assert cli(["selftest"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  sound", "FAIL  broken", "FAIL  typed: ValueError: bad cache",
+            "FAIL  untyped: KeyError: 'w'", "PASS  last", "selftest FAILED",
+        ]
+
     @pytest.mark.parametrize("name", list(reference.CHECKS))
     def test_oracle_check(self, name):
         assert reference.CHECKS[name]() is True

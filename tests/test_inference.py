@@ -1,8 +1,14 @@
 """TTA, majority voting, postprocessing and the composed pipeline."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from bitrunet import inference
 from bitrunet.data import make_sphere_case
 from bitrunet.inference import (
     apply_flip,
@@ -16,7 +22,7 @@ from bitrunet.inference import (
     volume_threshold_postprocess,
 )
 from bitrunet.model import BiTrUnetModel, ModelConfig
-from bitrunet.tensor import Tensor
+from bitrunet.tensor import Tape, Tensor
 from bitrunet.training import TrainConfig, train_loop
 
 rng = np.random.default_rng(23)
@@ -43,6 +49,19 @@ class BackgroundModel(ConstantScoreModel):
         scores = np.full(k, -5.0)
         scores[0] = 5.0
         super().__init__(scores)
+
+
+class FieldScoreModel:
+    """Stub: the scores are the input times a fixed random field, so no two
+    flips give the same map."""
+
+    dtype = np.float64
+
+    def __init__(self, shape):
+        self.field = np.random.default_rng(31).standard_normal(shape)
+
+    def forward(self, x):
+        return Tensor(x.data * self.field)
 
 
 def tiny_trained_model(iters=12, size=16):
@@ -108,6 +127,137 @@ class TestTtaPredict:
             flipped = tta_predict(model, np.ascontiguousarray(apply_flip(x, combo)))
             expect = apply_flip(base, combo)
             assert np.abs(flipped - expect).max() < 1e-6
+
+
+def sequential_tta(model, x):
+    """The reference: every flip in turn on this thread, summed in order."""
+    acc = None
+    for combo in flip_combos():
+        scores = model.forward(Tensor(np.ascontiguousarray(apply_flip(x, combo))[None]))
+        s = scores.data[0].astype(np.float64)
+        s -= s.max(axis=0, keepdims=True)
+        e = np.exp(s)
+        probs = apply_flip(e / e.sum(axis=0, keepdims=True), combo)
+        acc = probs.copy() if acc is None else acc + probs
+    return acc / 8.0
+
+
+needs_two_threads = pytest.mark.skipif(
+    inference._blas_threads_api() is None or len(os.sched_getaffinity(0)) < 2,
+    reason="needs OpenBLAS thread control and two usable CPUs",
+)
+
+
+class TestThreadedTta:
+    """TTA runs the flips on the caller's thread and one worker, with
+    OpenBLAS held to one thread; the result is the sequential loop's."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # the train-32 config at 32^3, untrained and seeded
+        cfg = ModelConfig(in_channels=4, num_classes=4, input_size=(32, 32, 32),
+                          base_width=16, embed_dim=32, vit_layers=1, heads=4,
+                          ffn_hidden=64)
+        model = BiTrUnetModel(cfg, seed=3, dtype=np.float32)
+        x = make_sphere_case(size=32, radius=10, seed=4).volume.data
+        return model, x, sequential_tta(model, x)
+
+    @pytest.mark.parametrize("setup", ["two workers", "one cpu", "no blas control"])
+    def test_bit_identical_to_the_sequential_loop(self, case, setup, monkeypatch):
+        model, x, expect = case
+        if setup == "two workers" and inference._blas_threads_api() is None:
+            pytest.skip("needs OpenBLAS thread control")
+        if setup == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if setup == "no blas control":
+            monkeypatch.setattr(inference, "_blas_threads_api", lambda: None)
+        threads = set()
+        forward = model.forward
+
+        def recording_forward(t):
+            threads.add(threading.get_ident())
+            return forward(t)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        got = tta_predict(model, x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expect)
+        two = setup == "two workers" and len(os.sched_getaffinity(0)) > 1
+        assert len(threads) == (2 if two else 1)
+
+    @needs_two_threads
+    def test_blas_thread_count_restored(self, case):
+        model, x, _ = case
+        get, put = inference._blas_threads_api()
+        original = get()
+        try:
+            put(2)
+            tta_predict(model, x)
+            assert get() == 2
+        finally:
+            put(original)
+
+    @needs_two_threads
+    def test_error_in_the_worker_stops_both_and_restores_blas(self, case, monkeypatch):
+        model, x, _ = case
+        get, put = inference._blas_threads_api()
+        original = get()
+        calls = []  # True for a forward on the caller's thread
+        forward = model.forward
+
+        def worker_fails(t):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if not calls[-1]:
+                raise RuntimeError("worker forward failed")
+            return forward(t)
+
+        monkeypatch.setattr(model, "forward", worker_fails)
+        alive = threading.active_count()
+        try:
+            put(2)
+            with pytest.raises(RuntimeError, match="worker forward failed"):
+                tta_predict(model, x)
+            assert get() == 2
+        finally:
+            put(original)
+        assert threading.active_count() == alive
+        # the worker fails on its first flip and takes no other; the caller
+        # may start at most the one flip it had taken by then
+        assert calls.count(False) == 1
+        assert calls[calls.index(False) + 1:].count(True) <= 1
+
+    @needs_two_threads
+    def test_sum_in_flip_order_with_no_flip_lost_or_repeated(self):
+        # the unflipped input is slow, so the worker finishes later flips
+        # first; a flip run twice, one dropped, or a sum taken in the order
+        # the flips finish changes the result
+        x = rng.standard_normal((4, 16, 16, 16))
+
+        class SlowFirstFlip(FieldScoreModel):
+            def forward(self, t):
+                if np.array_equal(t.data[0], x):
+                    time.sleep(0.02)
+                return super().forward(t)
+
+        model = SlowFirstFlip(x.shape)
+        expect = sequential_tta(model, x)
+        # the order matters in the last bits: the first flip added last
+        maps = [apply_flip(predict_probs(model, np.ascontiguousarray(apply_flip(x, c))), c)
+                for c in flip_combos()]
+        assert not np.array_equal(sum(maps[1:], np.zeros_like(x)) + maps[0], 8.0 * expect)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert np.array_equal(tta_predict(model, x), expect)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rejected_under_an_active_tape(self, case):
+        model, x, _ = case
+        with Tape():
+            with pytest.raises(ValueError, match="Tape is active"):
+                tta_predict(model, x)
 
 
 class TestMajorityVote:

@@ -511,6 +511,26 @@ class TestCheckpoint:
             assert loaded.params[name].dtype == np.float32
             assert np.array_equal(t.data, loaded.params[name].data), name
 
+    def test_load_peaks_near_the_parameter_bytes(self, tmp_path):
+        # the train-32 config; reading the whole file and then copying each
+        # parameter out of it peaked at about twice the parameter bytes
+        cfg = ModelConfig(in_channels=4, num_classes=4, input_size=(32, 32, 32),
+                          base_width=16, embed_dim=32, vit_layers=1, heads=4,
+                          ffn_hidden=64)
+        model = BiTrUnetModel(cfg, seed=0, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        param_bytes = sum(t.data.nbytes for t in model.params.values())
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * param_bytes, f"{peak / param_bytes:.2f}x the parameter bytes"
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, loaded.params[name].data), name
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_checkpoint("/nonexistent/path/model.ckpt")

@@ -6,6 +6,7 @@ from scipy.special import erf as scipy_erf
 
 from bitrunet import kernels, reference
 from bitrunet.tensor import (
+    Tape,
     Tensor,
     concat,
     conv3d,
@@ -252,10 +253,18 @@ class TestAdjointness:
         )
 
     def test_matmul_fixed_left(self):
-        a = rng.standard_normal((4, 6))
-        self._check(
-            lambda x: a @ x, lambda y: a.T @ y, (6, 3), (4, 3)
-        )
+        # forward through the op, adjoint through the backward rule it records
+        a = Tensor(rng.standard_normal((4, 6)))
+
+        def adjoint(y):
+            x = Tensor(np.zeros((6, 3)), requires_grad=True)
+            with Tape() as tape:
+                matmul(a, x)
+            (node,) = tape.nodes
+            node.rule(y)
+            return x.grad
+
+        self._check(lambda x: matmul(a, Tensor(x)).data, adjoint, (6, 3), (4, 3))
 
 
 class TestKernelBackends:
