@@ -131,16 +131,18 @@ def _suite_builders():
         p = _probe(rng, (4, 5))
         return [x], lambda: p(T.sigmoid(x))
 
-    def b_softmax(rng):
-        x = _rand(rng, (3, 5), -2.0, 2.0)
-        p = _probe(rng, (3, 5))
-        return [x], lambda: p(T.softmax(x, axis=-1))
+    def b_attention(rng):
+        # batch 2, 2 heads, 3 features per head, 5 tokens
+        q, k, v = (_rand(rng, (2, 2, 3, 5), -2.0, 2.0) for _ in range(3))
+        p = _probe(rng, (2, 2, 3, 5))
+        return [q, k, v], lambda: p(T.attention(q, k, v))
 
     def b_layer_norm(rng):
-        x = _rand(rng, (3, 6))
+        # 6 features, 3 token columns
+        x = _rand(rng, (2, 6, 3))
         g = T.Tensor(rng.uniform(0.5, 1.5, (6,)), requires_grad=True)
         b = _rand(rng, (6,))
-        p = _probe(rng, (3, 6))
+        p = _probe(rng, (2, 6, 3))
         return [x, g, b], lambda: p(T.layer_norm(x, g, b))
 
     def group_norm_builder(channels, groups):
@@ -190,11 +192,6 @@ def _suite_builders():
         p = _probe(rng, (6, 4))
         return [x], lambda: p(T.reshape(x, (6, 4)))
 
-    def b_transpose(rng):
-        x = _rand(rng, (2, 3, 4))
-        p = _probe(rng, (2, 4, 3))
-        return [x], lambda: p(T.transpose_last2(x))
-
     def b_sum_axis(rng):
         x = _rand(rng, (3, 4, 2))
         p = _probe(rng, (3, 2))
@@ -228,7 +225,7 @@ def _suite_builders():
         "relu": b_relu,
         "gelu": b_gelu,
         "sigmoid": b_sigmoid,
-        "softmax": b_softmax,
+        "attention": b_attention,
         "layer_norm": b_layer_norm,
         # 2 groups of 2 channels; a cap of 4 on 6 channels falls back to 3 groups
         "group_norm": group_norm_builder(4, 2),
@@ -239,7 +236,6 @@ def _suite_builders():
         "conv_transpose3d_stride1": b_conv_transpose_s1,
         "concat": b_concat,
         "reshape": b_reshape,
-        "transpose_last2": b_transpose,
         "sum_axis": b_sum_axis,
         "sum_axes": b_sum_axes,
         "max_axis": b_max_axis,

@@ -30,6 +30,7 @@ from .tensor import (
     _recording,
     _unbroadcast,
     add,
+    attention,
     concat,
     conv3d,
     conv_transpose3d,
@@ -41,9 +42,7 @@ from .tensor import (
     relu,
     reshape,
     sigmoid,
-    softmax,
     tmax,
-    transpose_last2,
     tsum,
 )
 
@@ -73,6 +72,8 @@ class ModelConfig:
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
         self.input_size = tuple(int(s) for s in self.input_size)
+        if len(self.input_size) != 3:
+            raise ValueError(f"input_size must have 3 axes, got {self.input_size}")
         for ax, s in enumerate(self.input_size):
             if s < 1:
                 raise ValueError(f"input spatial axis {ax} size {s} is not positive")
@@ -104,7 +105,8 @@ class ModelConfig:
 
 
 def parse_key_values(text, source):
-    """``key=value`` lines into a dict; blank lines and ``#`` comments skip."""
+    """``key=value`` lines into a dict; blank lines and ``#`` comments skip,
+    and a key given twice is an error."""
     kv = {}
     for line in text.splitlines():
         line = line.strip()
@@ -113,7 +115,10 @@ def parse_key_values(text, source):
         if "=" not in line:
             raise ValueError(f"{source}: malformed config line {line!r}")
         k, _, v = line.partition("=")
-        kv[k.strip()] = v.strip()
+        k = k.strip()
+        if k in kv:
+            raise ValueError(f"{source}: key {k!r} is given twice")
+        kv[k] = v.strip()
     return kv
 
 
@@ -288,30 +293,23 @@ class TransformerLayer:
         self.b2 = b.zeros(f"{name}.ffn_b2", (d, 1))
 
 
-def _norm_tokens(z, gamma, beta):
-    # tokens are columns; normalize each token over its feature axis
-    return transpose_last2(layer_norm(transpose_last2(z), gamma, beta))
-
-
 def multi_head_attention(z, layer):
     """Scaled dot-product attention over token columns of (B, d, N)."""
     bsz, d, n = z.shape
-    dh = d // layer.heads
-    q = reshape(add(matmul(layer.wq, z), layer.bq), (bsz, layer.heads, dh, n))
-    k = reshape(add(matmul(layer.wk, z), layer.bk), (bsz, layer.heads, dh, n))
-    scores = mul(matmul(transpose_last2(q), k), 1.0 / math.sqrt(dh))
-    weights = softmax(scores, axis=-1)
-    # v after the map: backward adds the v, k, q gradients into z in that order
-    v = reshape(add(matmul(layer.wv, z), layer.bv), (bsz, layer.heads, dh, n))
-    mixed = matmul(v, transpose_last2(weights))
+    heads = (bsz, layer.heads, d // layer.heads, n)
+    # q, k, v in this order: backward adds the v, k, q gradients into z
+    q = reshape(add(matmul(layer.wq, z), layer.bq), heads)
+    k = reshape(add(matmul(layer.wk, z), layer.bk), heads)
+    v = reshape(add(matmul(layer.wv, z), layer.bv), heads)
+    mixed = attention(q, k, v)
     return add(matmul(layer.wo, reshape(mixed, (bsz, d, n))), layer.bo)
 
 
 def transformer_layer(z, layer):
     """One encoder layer: residual attention then residual feed-forward."""
-    attn = multi_head_attention(_norm_tokens(z, layer.ln1_g, layer.ln1_b), layer)
+    attn = multi_head_attention(layer_norm(z, layer.ln1_g, layer.ln1_b), layer)
     z_mid = add(attn, z)
-    h = _norm_tokens(z_mid, layer.ln2_g, layer.ln2_b)
+    h = layer_norm(z_mid, layer.ln2_g, layer.ln2_b)
     h = gelu(add(matmul(layer.w1, h), layer.b1))
     h = add(matmul(layer.w2, h), layer.b2)
     return add(h, z_mid)

@@ -285,17 +285,17 @@ def check_matmul():
 
 def check_transposed_conv():
     """<conv3d(x), y> == <x, conv_transpose3d(y)> with one weight: strides 1
-    and 2 on 4^3, stride 1 on (3, 4, 5), stride 2 on (4, 4, 6), with and
-    without an explicit output size, 5 instances each; within 1e-6
+    and 2 on 4^3, stride 1 on (3, 4, 5), stride 2 on (4, 4, 6), 10 instances
+    each; the output has x's shape, and the two sides agree within 1e-6
     relative."""
     rng = np.random.default_rng(4)
     for spatial, stride in (((4, 4, 4), 1), ((4, 4, 4), 2), ((3, 4, 5), 1), ((4, 4, 6), 2)):
-        for size in (None, spatial) * 5:
+        for _ in range(10):
             x = rng.standard_normal((1, 2) + spatial)
             w = Tensor(rng.standard_normal((3, 2, 3, 3, 3)))
             cx = conv3d(Tensor(x), w, None, stride).data
             y = rng.standard_normal(cx.shape)
-            ty = conv_transpose3d(Tensor(y), w, None, stride, output_size=size).data
+            ty = conv_transpose3d(Tensor(y), w, None, stride).data
             if ty.shape != x.shape or not _rel((cx * y).sum(), (x * ty).sum()) < 1e-6:
                 return False
     return True

@@ -8,9 +8,11 @@ backward rule. ``Tape.backward(loss)`` walks the tape in exact reverse
 recording order, accumulating into the slots.
 
 A rule keeps its operands' slots and shapes and only the arrays its formula
-reads (``relu`` its mask, ``group_norm`` its ``xhat``), never an operand or
-output Tensor. So an activation that no rule reads is freed during the
-forward pass, as soon as Python drops the Tensor.
+reads (``relu`` its mask, ``layer_norm`` its ``xhat``, ``attention`` its
+weights), never an operand or output Tensor. So an activation that no rule
+reads is freed during the forward pass, as soon as Python drops the Tensor.
+Token sequences are (..., d, N): each token is a column, and ``layer_norm``
+and ``attention`` take that layout as is.
 
 Backward consumes the tape: once a node's rule has run, its entry in
 ``tape.nodes`` becomes ``None`` and its output slot's gradient is cleared, so
@@ -169,8 +171,9 @@ def _accum(slot, g):
     gradient itself, C-contiguous in the slot's dtype. The slot then owns
     ``g``, so a rule passes an array nothing else writes (``add`` copies
     ``gy`` when both operands would get it). A non-contiguous view, such as
-    ``transpose_last2``'s, is copied: kept strided, the matmuls and sums
-    that later read it would round differently."""
+    the transposed input gradient of ``layer_norm`` or ``attention``, is
+    copied: kept strided, the matmuls and sums that later read it would
+    round differently."""
     if slot is None:
         return
     if slot.grad is None:
@@ -269,6 +272,36 @@ def matmul(a, b):
                 _accum(sa, _unbroadcast(np.matmul(gy, bd.swapaxes(-1, -2)), a_shape))
             if sb is not None:
                 _accum(sb, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), gy), b_shape))
+        _record(out, rule)
+    return out
+
+
+def attention(q, k, v):
+    """Scaled dot-product attention over token columns, one tape op. q, k
+    and v are (..., dh, N); output column i is v's columns weighted by
+    softmax_j(q_i . k_j / sqrt(dh)). The rule keeps q's transpose, k, v and
+    the weights, and takes the softmax gradient in place."""
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-2]), dtype=q.dtype)
+    qt = np.ascontiguousarray(q.data.swapaxes(-1, -2))
+    p = np.matmul(qt, k.data)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(np.matmul(v.data, np.ascontiguousarray(p.swapaxes(-1, -2))))
+    if _recording(q, k, v):
+        sq, sk, sv, kd, vd = q.slot, k.slot, v.slot, k.data, v.data
+        def rule(gy):
+            # p enters as the transposed view of a contiguous p^T, the layout
+            # of the composed reference in the tests, whose bits this keeps;
+            # the copy is freed before gp is made
+            _accum(sv, np.matmul(gy, np.ascontiguousarray(p.swapaxes(-1, -2)).swapaxes(-1, -2)))
+            gp = np.ascontiguousarray(np.matmul(vd.swapaxes(-1, -2), gy).swapaxes(-1, -2))
+            gp -= (gp * p).sum(axis=-1, keepdims=True)
+            gp *= p
+            gp *= scale
+            _accum(sq, np.matmul(gp, kd.swapaxes(-1, -2)).swapaxes(-1, -2))
+            _accum(sk, np.matmul(qt.swapaxes(-1, -2), gp))
         _record(out, rule)
     return out
 
@@ -394,21 +427,6 @@ def sigmoid(x):
     return out
 
 
-def softmax(x, axis):
-    """Softmax along ``axis``; output rows are probability vectors."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"softmax axis {axis} invalid for shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = Tensor(e / e.sum(axis=axis, keepdims=True))
-    if _recording(x):
-        sx, y = x.slot, out.data
-        def rule(gy):
-            _accum(sx, y * (gy - (gy * y).sum(axis=axis, keepdims=True)))
-        _record(out, rule)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -434,25 +452,28 @@ def _norm_input_grad(dxh, xhat, inv):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    m = x.shape[-1]
+    """Normalize each token column of (..., d, N) over its d features to zero
+    mean / unit variance, then affine. The statistics are taken on a
+    contiguous (..., N, d) copy, and the result is transposed back."""
+    m = x.shape[-2]
     if gamma.shape != (m,) or beta.shape != (m,):
         raise ValueError(
             f"layer_norm affine params must have shape ({m},), "
             f"got {gamma.shape} and {beta.shape}"
         )
-    xhat, inv = _normalize(x.data, eps)
-    out = Tensor(gamma.data * xhat + beta.data)
+    xhat, inv = _normalize(np.ascontiguousarray(x.data.swapaxes(-1, -2)), eps)
+    out = Tensor((gamma.data * xhat + beta.data).swapaxes(-1, -2))
     if _recording(x, gamma, beta):
         sx, sg, sb, gd = x.slot, gamma.slot, beta.slot, gamma.data
         lead = tuple(range(x.ndim - 1))
         def rule(gy):
+            gy = np.ascontiguousarray(gy.swapaxes(-1, -2))
             if sg is not None:
                 _accum(sg, (gy * xhat).sum(axis=lead))
             if sb is not None:
                 _accum(sb, gy.sum(axis=lead))
             if sx is not None:
-                _accum(sx, _norm_input_grad(gy * gd, xhat, inv))
+                _accum(sx, _norm_input_grad(gy * gd, xhat, inv).swapaxes(-1, -2))
         _record(out, rule)
     return out
 
@@ -514,25 +535,16 @@ def conv3d(x, weight, bias, stride=1):
     return out
 
 
-def conv_transpose3d(x, weight, bias, stride=1, output_size=None):
+def conv_transpose3d(x, weight, bias, stride=1):
     """Transposed 3x3x3 convolution, the adjoint of ``conv3d`` with the same
     weight (Cin, Cout, 3, 3, 3); bias (Cout,) or None.
 
     Stride 2 doubles each spatial size exactly; stride 1 preserves it.
-    ``output_size`` pins the exact spatial output when the default rule is
-    not wanted (the adjoint of a stride-2 conv over an odd extent).
     """
     _check_conv(x, weight, 0, "conv_transpose3d")
-    if output_size is None:
-        output_size = tuple(stride * n for n in x.shape[2:])
-    for ax, (n, m) in enumerate(zip(x.shape[2:], output_size)):
-        if kernels.conv_out_size(m, 3, stride, 1) != n:
-            raise ValueError(
-                f"conv_transpose3d: output size {m} on spatial axis {ax + 2} "
-                f"is inconsistent with input size {n}"
-            )
+    out_spatial = tuple(stride * n for n in x.shape[2:])
     out = Tensor(_with_bias(
-        kernels.conv3d_input_grad(x.data, weight.data, stride, 1, output_size), bias
+        kernels.conv3d_input_grad(x.data, weight.data, stride, 1, out_spatial), bias
     ))
     if _recording(x, weight, bias):
         sx, sw = x.slot, weight.slot
@@ -575,17 +587,6 @@ def reshape(x, shape):
         sx, old = x.slot, x.shape
         def rule(gy):
             _accum(sx, gy.reshape(old))
-        _record(out, rule)
-    return out
-
-
-def transpose_last2(x):
-    """Swap the last two axes."""
-    out = Tensor(np.ascontiguousarray(x.data.swapaxes(-1, -2)))
-    if _recording(x):
-        sx = x.slot
-        def rule(gy):
-            _accum(sx, gy.swapaxes(-1, -2))
         _record(out, rule)
     return out
 

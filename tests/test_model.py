@@ -63,6 +63,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="axis 1.*not divisible by 16"):
             tiny_config(input_size=(16, 20, 16))
 
+    @pytest.mark.parametrize("size", [(32, 32), (32, 32, 32, 32), ()])
+    def test_input_size_needs_three_axes(self, size):
+        with pytest.raises(ValueError, match="input_size must have 3 axes"):
+            tiny_config(input_size=size)
+
     def test_text_roundtrip(self):
         cfg = tiny_config(input_size=(16, 32, 48))
         assert ModelConfig.from_text(cfg.to_text()) == cfg
@@ -219,6 +224,19 @@ class TestTransformerLayer:
         out = transformer_layer(z, layer)
         assert np.abs(out.data - z.data).max() == 0.0
 
+    def test_records_22_ops(self):
+        # 2 layer norms, 9 for the q, k, v projections, attention, 3 to merge
+        # the heads and project out, 2 residuals, 5 feed-forward; the probe
+        # loss adds 2 more
+        layer = self._layer()
+        z = Tensor(rng.standard_normal((1, 16, 9)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((1, 16, 9)))
+        with Tape() as tape:
+            y = transformer_layer(z, layer)
+            assert len(tape.nodes) == 22
+            tape.backward(tsum(mul(y, probe)))
+        assert len(tape.nodes) == 24
+
     def test_single_head_desk_calculation(self):
         # d=2, N=2, Q=K=V=O=I, biases 0, LN affine identity, FFN zeroed:
         # compare with a direct numpy evaluation of
@@ -255,10 +273,11 @@ class TestGroupNorm:
 
     @staticmethod
     def _composed(x, gamma, beta, g):
-        # reshape -> layer_norm with a unit affine -> reshape -> scale -> shift
+        # reshape -> layer_norm with a unit affine -> reshape -> scale -> shift;
+        # each slab is one token column
         n, c = x.shape[:2]
         slab = x.size // (n * g)
-        y = reshape(x, (n, g, slab))
+        y = reshape(x, (n, g, slab, 1))
         y = layer_norm(y, Tensor(np.ones(slab, x.dtype)), Tensor(np.zeros(slab, x.dtype)))
         y = mul(reshape(y, x.shape), reshape(gamma, (c, 1, 1, 1)))
         return add(y, reshape(beta, (c, 1, 1, 1)))
@@ -453,6 +472,18 @@ class TestTapeMemory:
         for i, (name, p) in enumerate(grads):
             for other, q in grads[i + 1:]:
                 assert not np.shares_memory(p.grad, q.grad), (name, other)
+
+    def test_train_32_step_records_199_nodes(self):
+        # the train-32 config: 22 nodes in each of its two transformer
+        # layers, 155 in the convolutions, gates and loss
+        cfg = ModelConfig(in_channels=4, num_classes=4, input_size=(32, 32, 32),
+                          base_width=16, embed_dim=32, vit_layers=1, heads=4,
+                          ffn_hidden=64)
+        model = BiTrUnetModel(cfg, seed=0, dtype=np.float32)
+        x = Tensor(rng.standard_normal((1, 4, 32, 32, 32)).astype(np.float32))
+        with Tape() as tape:
+            loss_terms(model.forward(x), rng.integers(0, 4, (1, 32, 32, 32)), TrainConfig())
+        assert len(tape.nodes) == 199
 
     def test_live_bytes_after_forward_and_loss_stay_bounded(self):
         # the train-32 config; its tape read 45 MB when rules held their

@@ -84,7 +84,7 @@ class TestCheckpointFuzz:
 
     @pytest.mark.parametrize("key,value", [
         ("heads", "0"), ("norm_groups", "0"), ("cbam_reduction", "0"),
-        ("in_channels", "0"), ("vit_layers", "-1"),
+        ("in_channels", "0"), ("vit_layers", "-1"), ("input_size", "16,16"),
     ])
     def test_config_value_out_of_range(self, checkpoint, tmp_path, key, value):
         buf, header_end, _ = checkpoint
@@ -93,6 +93,14 @@ class TestCheckpointFuzz:
         config = config.replace(old, f"{key}={value}").encode()
         bad = buf[:8] + struct.pack("<I", len(config)) + config + buf[header_end - 4 :]
         with pytest.raises(CheckpointError, match=f"bad config block.*{key}"):
+            load_checkpoint(_write(tmp_path / "bad.ckpt", bad))
+
+    def test_repeated_config_key(self, checkpoint, tmp_path):
+        buf, header_end, _ = checkpoint
+        config = (buf[12 : header_end - 4].decode() + "heads=1\n").encode()
+        bad = buf[:8] + struct.pack("<I", len(config)) + config + buf[header_end - 4 :]
+        with pytest.raises(CheckpointError,
+                           match="bad config block.*model config: key 'heads' is given twice"):
             load_checkpoint(_write(tmp_path / "bad.ckpt", bad))
 
     def test_payload_bit_flip_fails_the_crc(self, checkpoint, tmp_path):

@@ -8,6 +8,7 @@ from bitrunet import kernels, reference
 from bitrunet.tensor import (
     Tape,
     Tensor,
+    attention,
     concat,
     conv3d,
     conv_transpose3d,
@@ -15,8 +16,9 @@ from bitrunet.tensor import (
     gelu,
     layer_norm,
     matmul,
-    softmax,
+    mul,
     tmax,
+    tsum,
 )
 
 rng = np.random.default_rng(1234)
@@ -86,7 +88,8 @@ class TestConvTranspose3d:
         x = rng.standard_normal((1, 2) + in_spatial)
         cx = conv3d(Tensor(x), Tensor(w), None, stride).data
         y = rng.standard_normal(cx.shape)
-        ty = conv_transpose3d(Tensor(y), Tensor(w), None, stride, output_size=in_spatial).data
+        ty = conv_transpose3d(Tensor(y), Tensor(w), None, stride).data
+        assert ty.shape == x.shape
         lhs = float((cx * y).sum())
         rhs = float((x * ty).sum())
         assert abs(lhs - rhs) / abs(lhs) < 1e-6
@@ -122,40 +125,84 @@ class TestMatmul:
 
 
 class TestLayerNorm:
+    """Tokens are columns: each token's row of features runs down axis -2
+    and is normalized there."""
+
     def test_constant_row_collapses_to_zero(self):
-        x = Tensor(np.full((2, 5), 3.7))
+        x = Tensor(np.full((5, 2), 3.7))
         y = layer_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(5)))
         assert np.abs(y.data).max() < 1e-3
 
     def test_already_normalized_row(self):
-        x = Tensor(np.array([[1.0, -1.0]]))
+        x = Tensor(np.array([[1.0], [-1.0]]))
         y = layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
-        assert np.allclose(y.data, [[1.0, -1.0]], atol=1e-6)
+        assert np.allclose(y.data, [[1.0], [-1.0]], atol=1e-6)
 
     def test_random_row_statistics(self):
-        x = Tensor(rng.standard_normal((4, 32)))
+        x = Tensor(rng.standard_normal((2, 32, 4)))
         y = layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).data
-        assert np.abs(y.mean(axis=-1)).max() < 1e-6
-        assert np.abs(y.var(axis=-1) - 1.0).max() < 1e-4
+        assert y.shape == (2, 32, 4)
+        assert np.abs(y.mean(axis=-2)).max() < 1e-6
+        assert np.abs(y.var(axis=-2) - 1.0).max() < 1e-4
 
     def test_affine_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
-            layer_norm(Tensor(np.zeros((2, 5))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            layer_norm(Tensor(np.zeros((5, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+
+def _composed_attention(q, k, v, gy):
+    """Output and (q, k, v) gradients of attention composed from six tape
+    ops (transpose, matmul, scale, softmax, transpose, matmul), in plain
+    numpy with the arithmetic and memory layouts each of those ops used."""
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-2]), dtype=q.dtype)
+    qt = np.ascontiguousarray(q.swapaxes(-1, -2))
+    s = np.matmul(qt, k) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    pt = np.ascontiguousarray(p.swapaxes(-1, -2))
+    y = np.matmul(v, pt)
+    gv = np.matmul(gy, pt.swapaxes(-1, -2))
+    gp = np.ascontiguousarray(np.matmul(v.swapaxes(-1, -2), gy).swapaxes(-1, -2))
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    gq = np.ascontiguousarray(np.matmul(gs, k.swapaxes(-1, -2)).swapaxes(-1, -2))
+    gk = np.matmul(qt.swapaxes(-1, -2), gs)
+    return y, gq, gk, gv
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("n", [5, 64])
+    def test_equals_the_composed_ops_bit_for_bit(self, dtype, heads, n):
+        shape = (2, heads, 8, n)
+        qkv = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+               for _ in range(3)]
+        probe = Tensor(rng.standard_normal(shape).astype(dtype))
+        with Tape() as tape:
+            y = attention(*qkv)
+            assert len(tape.nodes) == 1
+            # the probe passes through tsum and mul unchanged as y's gradient
+            tape.backward(tsum(mul(y, probe)))
+        want = _composed_attention(*(t.data for t in qkv), probe.data)
+        for got, ref in zip([y.data] + [t.grad for t in qkv], want):
+            assert got.dtype == ref.dtype == dtype
+            assert np.array_equal(got, ref)
 
 
 class TestPointwiseAndShape:
     def test_softmax_symmetry(self):
-        y = softmax(Tensor(np.zeros((1, 3))), axis=-1)
-        assert np.allclose(y.data, 1.0 / 3.0)
+        # equal scores weight every token alike: each output is v's mean
+        v = rng.standard_normal((1, 2, 3, 6))
+        k = Tensor(rng.standard_normal((1, 2, 3, 6)))
+        y = attention(Tensor(np.zeros((1, 2, 3, 6))), k, Tensor(v)).data
+        assert np.allclose(y, np.broadcast_to(v.mean(axis=-1, keepdims=True), y.shape))
 
     def test_softmax_rows_are_probability_vectors(self):
-        y = softmax(Tensor(rng.standard_normal((5, 7)) * 10), axis=-1).data
+        # with v the identity, output column i holds token i's weights
+        q, k = (Tensor(rng.standard_normal((1, 7, 7)) * 10) for _ in range(2))
+        y = attention(q, k, Tensor(np.eye(7)[None])).data
         assert (y >= 0).all()
-        assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-6
-
-    def test_softmax_invalid_axis(self):
-        with pytest.raises(ValueError, match="axis"):
-            softmax(Tensor(np.zeros((2, 2))), axis=5)
+        assert np.abs(y.sum(axis=-2) - 1.0).max() < 1e-12
 
     def test_concat_channels(self):
         a, b = np.zeros((1, 2, 3, 3, 3)), np.ones((1, 3, 3, 3, 3))
