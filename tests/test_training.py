@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bitrunet.data import make_sphere_case
-from bitrunet.gradcheck import check_gradients
 from bitrunet.model import BiTrUnetModel, ModelConfig
+from bitrunet.reference import gradient_error
 from bitrunet.tensor import Tape, Tensor
 from bitrunet.training import (
     OptimizerState,
@@ -148,7 +148,7 @@ class TestLoss:
         target = rng.integers(0, 3, (1, 2, 2, 2))
         scores = Tensor(rng.standard_normal((1, 3, 2, 2, 2)), requires_grad=True)
         cfg = TrainConfig()
-        assert check_gradients(
+        assert gradient_error(
             [scores], lambda: loss_terms(scores, target, cfg)[0], h=1e-5
         ) < 1e-4
 
