@@ -1,6 +1,5 @@
 """Desk-scale CNN-Transformer segmentation network and its tooling."""
 
-from .backend import ACTIVE_BACKEND
 from .checkpoint import load_checkpoint, save_checkpoint
 from .model import BiTrUnetModel, ModelConfig, parameter_count
 from .tensor import Tape, Tensor
@@ -8,7 +7,6 @@ from .tensor import Tape, Tensor
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_BACKEND",
     "BiTrUnetModel",
     "ModelConfig",
     "Tape",

@@ -123,7 +123,13 @@ def load_checkpoint(path):
             config = ModelConfig.from_text(raw_config.decode())
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad config block at byte 12: {exc}") from exc
-        model = BiTrUnetModel(config, seed=None, dtype=np.float32)
+        try:
+            model = BiTrUnetModel(config, seed=None, dtype=np.float32)
+        except MemoryError as exc:
+            raise CheckpointError(
+                f"{path}: config block at byte 12 describes a model that does "
+                f"not fit in memory: {exc}"
+            ) from exc
         n_params = r.u32("parameter count")
         if n_params != len(model.params):
             raise CheckpointError(

@@ -9,7 +9,6 @@ labels 0..K-1 to the external vocabulary {0, 1, 2, 4} at the very end.
 
 import itertools
 import os
-import threading
 
 import numpy as np
 
@@ -53,17 +52,14 @@ def apply_flip(vol, combo):
     return np.flip(vol, axes) if axes else vol
 
 
-def _model_probs(model, x4):
-    scores = model.forward(Tensor(x4[None], dtype=getattr(model, "dtype", x4.dtype)))
+def predict_probs(model, x):
+    """Single-pass class probabilities (K, H, W, D) for input (C, H, W, D)."""
+    x = np.asarray(x)
+    scores = model.forward(Tensor(x[None], dtype=getattr(model, "dtype", x.dtype)))
     s = scores.data[0].astype(np.float64)
     s -= s.max(axis=0, keepdims=True)
     e = np.exp(s)
     return e / e.sum(axis=0, keepdims=True)
-
-
-def predict_probs(model, x):
-    """Single-pass class probabilities (K, H, W, D) for input (C, H, W, D)."""
-    return _model_probs(model, np.asarray(x))
 
 
 def _blas_threads_api():
@@ -90,76 +86,40 @@ def _blas_threads_api():
 def tta_predict(model, x):
     """Mean class probabilities over the 8 flip variants of the input.
 
-    Each variant is flipped, pushed through the model, softmaxed, and
-    un-flipped before averaging in float64. The variants are independent,
-    so two threads (the caller's and one worker) each take the next
-    unstarted one while OpenBLAS is held to one thread; the sum is still
-    taken in ``flip_combos()`` order, so the result does not depend on
-    which thread ran which variant. With one usable CPU, or no OpenBLAS
-    thread control, the caller's thread runs them all.
+    Each variant is flipped, pushed through ``predict_probs`` and un-flipped.
+    The variants are independent, so a thread pool runs them: 2 workers,
+    with OpenBLAS held to one thread, when there are 2 usable CPUs and the
+    OpenBLAS thread setter is found, else 1. The maps come back in
+    ``flip_combos()`` order and are summed in float64 in that order, so the
+    result does not depend on which worker ran which variant. When a
+    variant raises, the ones not yet started are cancelled and the error
+    propagates.
     """
+    # imported here: concurrent.futures would add to every command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     x = np.asarray(x)
-    for ax in range(1, 4):
-        if x.shape[ax] % 16:
-            raise ValueError(
-                f"tta_predict: spatial axis {ax} size {x.shape[ax]} "
-                f"is not divisible by 16"
-            )
     if tensor._ACTIVE_TAPE is not None:
         raise ValueError("tta_predict: a Tape is active; TTA runs without one")
-    combos = flip_combos()
-    lock = threading.Lock()
-    started = added = 0
-    finished = {}
-    acc = error = None
 
-    def run():
-        nonlocal started, added, acc, error
-        while True:
-            with lock:
-                if error is not None or started == len(combos):
-                    return
-                i, started = started, started + 1
-            try:
-                combo = combos[i]
-                probs = _model_probs(model, np.ascontiguousarray(apply_flip(x, combo)))
-                with lock:
-                    # add in flip_combos() order, holding those that finish early
-                    finished[i] = apply_flip(probs, combo)
-                    while added in finished:
-                        probs = finished.pop(added)
-                        if acc is None:
-                            acc = probs.copy()
-                        else:
-                            acc += probs
-                        added += 1
-            except BaseException as exc:
-                with lock:
-                    error = error or exc
-                return
+    def flipped_probs(combo):
+        return apply_flip(predict_probs(model, np.ascontiguousarray(apply_flip(x, combo))), combo)
 
-    blas = _blas_threads_api()
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # not Linux: every CPU counts
         cpus = os.cpu_count() or 1
-    if blas is None or cpus < 2:
-        run()
-    else:
+    blas = _blas_threads_api() if cpus >= 2 else None
+    if blas is not None:
         get, put = blas
         before = get()
         put(1)
-        worker = threading.Thread(target=run)
-        try:
-            worker.start()
-            run()
-        finally:
-            if worker.is_alive():
-                worker.join()
+    try:
+        with ThreadPoolExecutor(1 if blas is None else 2) as pool:
+            return sum(pool.map(flipped_probs, flip_combos())) / 8.0
+    finally:
+        if blas is not None:
             put(before)
-    if error is not None:
-        raise error
-    return acc / 8.0
 
 
 def majority_vote(masks, probs):

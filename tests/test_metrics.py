@@ -352,16 +352,17 @@ class TestHd95NearestSurface:
         # the k-d tree and ndimage are imported inside the functions that use
         # them and erf is numpy's own, so importing the CLI loads no scipy
         # module at all: no command pays for scipy at start-up. Likewise only
-        # selftest imports the oracle table.
+        # selftest imports the oracle table, and only TTA the thread pool.
         src = os.path.dirname(os.path.dirname(bitrunet.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = ("import sys, bitrunet.cli; print(bitrunet.__file__); "
                  "print([m for m in sys.modules if m.startswith('scipy')]); "
-                 "print('bitrunet.reference' in sys.modules)")
+                 "print([m in sys.modules for m in "
+                 "('bitrunet.reference', 'concurrent.futures')])")
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
-        assert out == [bitrunet.__file__, "[]", "False"]
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out == [bitrunet.__file__, "[]", "[False, False]"]
 
 
 def _faces_touched(mask):

@@ -103,6 +103,22 @@ class TestCheckpointFuzz:
                            match="bad config block.*model config: key 'heads' is given twice"):
             load_checkpoint(_write(tmp_path / "bad.ckpt", bad))
 
+    def test_config_too_large_to_allocate(self, case_cache, tmp_path, capsys):
+        # a well-formed version 2 file, CRC32 and all, whose config block
+        # asks for 2^20 base channels and which holds no parameters
+        config = SMALL.to_text().replace("base_width=1\n", "base_width=1048576\n").encode()
+        body = b"BTRU" + struct.pack("<II", 2, len(config)) + config + struct.pack("<I", 0)
+        path = _write(tmp_path / "huge.ckpt", _with_crc(body))
+        with pytest.raises(CheckpointError,
+                           match="config block at byte 12 describes a model that does not fit"):
+            load_checkpoint(path)
+        case = _write(tmp_path / "case.btrc", case_cache[0])
+        out = tmp_path / "mask.nii.gz"
+        assert cli(["predict", "--models", str(path), "--input", str(case),
+                    "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_payload_bit_flip_fails_the_crc(self, checkpoint, tmp_path):
         # one bit in the middle of each parameter's data, then in the CRC
         buf, _, spans = checkpoint
