@@ -9,13 +9,17 @@ Data on disk is x-fastest; in memory the array is indexed [x, y, z]
 spacing, the data offset and an identity scaling; every other header field
 (the affine among them) is zero.
 
-The writer streams: it serializes the payload one (x, y) plane at a time,
-in on-disk order, and writes each plane (or its deflate output) before
-making the next, so no copy of the whole volume is made. Gzip output is one member
-at zlib level 6 (as ``gzip -6``) with a zeroed mtime, so identical inputs
-give byte-identical files. The reader inflates a gzip file in one call per
-member and accepts what ``gzip.open`` accepts: concatenated members and
-trailing zero padding after the last one.
+The writer streams: it fills one C-contiguous buffer of ``SLAB_Z`` (x, y)
+planes in on-disk order, by transposing copies of ``BLOCK_Y`` y-rows at a
+time (blocks small enough that the strided reads of a C-ordered array stay
+in cache), and writes the buffer (or its deflate output) before filling the next slab, so
+no copy of the whole volume is made. Gzip output is one member at zlib
+level 1 with a zeroed mtime, so identical inputs give byte-identical
+files. Level 1 deflates a 240x240x155 label mask about twice as fast as
+level 6 and its stream inflates faster; the file is about three times
+larger, still over 100:1 for a label mask. The reader inflates a gzip
+file in one call per member and accepts what ``gzip.open`` accepts:
+concatenated members and trailing zero padding after the last one.
 """
 
 import gzip
@@ -29,6 +33,8 @@ import numpy as np
 
 HEADER_SIZE = 348
 MAGIC = b"n+1\x00"
+SLAB_Z = 32  # (x, y) planes the writer buffers at a time
+BLOCK_Y = 8  # y-rows per transposing copy into the buffer
 
 # NIfTI-1 datatype codes
 _DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32}
@@ -166,6 +172,40 @@ def read_nifti(path):
     return hdr, data
 
 
+def _pixdim(spacing):
+    """The three voxel spacings as float32, as the header stores them;
+    NiftiError for any spacing the reader would reject."""
+    values = [float(v) for v in spacing]
+    if len(values) != 3:
+        raise NiftiError(
+            f"cannot write spacing {spacing!r}; give 3 values, one per spatial axis"
+        )
+    with np.errstate(over="ignore"):
+        pixdim = np.array(values, dtype=np.float32)
+    for i, value in enumerate(pixdim, start=1):
+        if not (math.isfinite(value) and value > 0):
+            raise NiftiError(
+                f"cannot write spacing {spacing!r}: pixdim[{i}] is {value:g} as "
+                f"float32; voxel spacing must be positive and finite"
+            )
+    return pixdim
+
+
+def _slabs(data):
+    """The payload in on-disk order (x fastest, z before t) as little-endian
+    C-contiguous arrays of at most ``SLAB_Z`` planes, all views of one buffer
+    that is refilled for each slab."""
+    vols = [data] if data.ndim == 3 else [data[..., t] for t in range(data.shape[3])]
+    nx, ny, nz = data.shape[:3]
+    buf = np.empty((min(SLAB_Z, nz), ny, nx), data.dtype.newbyteorder("<"))
+    for vol in vols:
+        for z in range(0, nz, SLAB_Z):
+            slab = buf[: min(SLAB_Z, nz - z)]
+            for y in range(0, ny, BLOCK_Y):
+                slab[:, y : y + BLOCK_Y] = vol[:, y : y + BLOCK_Y, z : z + len(slab)].T
+            yield slab
+
+
 def write_nifti(path, data, spacing=(1.0, 1.0, 1.0)):
     """Write an [x, y, z(, t)] array as a single-file little-endian NIfTI-1
     volume with voxel spacing ``spacing``.
@@ -174,30 +214,26 @@ def write_nifti(path, data, spacing=(1.0, 1.0, 1.0)):
     array's dtype (uint8, int16 or float32), unscaled.
     """
     data = np.asarray(data)
-    if data.dtype not in _CODES:
+    code = _CODES.get(data.dtype.newbyteorder("="))  # either byte order in memory
+    if code is None:
         raise NiftiError(f"cannot write dtype {data.dtype}; use uint8/int16/float32")
     if data.ndim not in (3, 4) or 0 in data.shape:
         raise NiftiError(
             f"cannot write shape {data.shape}; use 3D or 4D with every dimension positive"
         )
+    pixdim = _pixdim(spacing)
     head = bytearray(HEADER_SIZE + 4)  # the header and an empty extension
     struct.pack_into("<i", head, 0, HEADER_SIZE)
     dim = [data.ndim] + list(data.shape) + [1] * (7 - data.ndim)
     struct.pack_into("<8h", head, 40, *dim)
-    struct.pack_into("<2h", head, 70, _CODES[data.dtype], data.dtype.itemsize * 8)
-    struct.pack_into("<8f", head, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
+    struct.pack_into("<2h", head, 70, code, data.dtype.itemsize * 8)
+    struct.pack_into("<8f", head, 76, 1.0, *pixdim, 1.0, 1.0, 1.0, 1.0)
     struct.pack_into("<3f", head, 108, float(HEADER_SIZE + 4), 1.0, 0.0)
     head[344:348] = MAGIC
-    little = data.dtype.newbyteorder("<")
-    # the header, then every (x, y) plane x-fastest, z before t: the file's order
-    vols = [data] if data.ndim == 3 else [data[..., t] for t in range(data.shape[3])]
-    chunks = itertools.chain([head], (
-        vol[:, :, z].astype(little, copy=False).tobytes(order="F")
-        for vol in vols for z in range(vol.shape[2])
-    ))
+    chunks = itertools.chain([head], _slabs(data))
     with open(path, "wb") as fh:
         if str(path).endswith(".gz"):
-            deflate = zlib.compressobj(6, zlib.DEFLATED, 31)  # one gzip member
+            deflate = zlib.compressobj(1, zlib.DEFLATED, 31)  # one gzip member
             for chunk in chunks:
                 fh.write(deflate.compress(chunk))
             fh.write(deflate.flush())

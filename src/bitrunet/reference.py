@@ -490,26 +490,38 @@ def check_evaluate_crop():
 
 
 def check_roundtrips():
-    """NIfTI (gzip and plain, from C- and Fortran-ordered arrays; the file
-    holds the header, then the payload x-fastest, and stdlib gzip reads
-    it), the case cache and a checkpoint each read back bit-exact; a bad
-    NIfTI magic, a flipped cache CRC byte and a bad checkpoint magic each
-    raise the format's own error."""
+    """NIfTI (gzip and plain; float32 from C- and Fortran-ordered arrays, a
+    uint8 (37, 11, 70) volume and its strided view ``[::2]``, a 4D int16
+    (5, 6, 33, 2) volume and big-endian float32, so the writer's slab and
+    row-block edges are crossed; the file holds the header, then the
+    little-endian payload x-fastest, and stdlib gzip reads it), the case
+    cache and a checkpoint each read back bit-exact; a bad NIfTI magic, a
+    flipped cache CRC byte and a bad checkpoint magic each raise the
+    format's own error."""
     rng = np.random.default_rng(10)
     with tempfile.TemporaryDirectory() as td:
         path = {name: os.path.join(td, name)
                 for name in ("v.nii.gz", "v.nii", "c.btrc", "m.ckpt", "bad")}
+        arrays = []
         for shape in ((5, 3, 4), (5, 4, 6)):
             vol = rng.standard_normal(shape).astype(np.float32)
-            for arr in (vol, np.asfortranarray(vol)):
-                for name, opener in (("v.nii.gz", gzip.open), ("v.nii", open)):
-                    write_nifti(path[name], arr)
-                    with opener(path[name], "rb") as fh:
-                        raw = fh.read()
-                    hdr, back = read_nifti(path[name])
-                    if not (raw[hdr.vox_offset:] == vol.tobytes(order="F")
-                            and np.array_equal(vol, back)):
-                        return False
+            arrays += [vol, np.asfortranarray(vol)]
+        wide = rng.integers(0, 256, (37, 11, 70), dtype=np.uint8)
+        arrays += [
+            wide,
+            wide[::2],
+            rng.integers(-1000, 1000, (5, 6, 33, 2), dtype=np.int16),
+            rng.standard_normal((9, 10, 35)).astype(">f4"),
+        ]
+        for arr in arrays:
+            payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes(order="F")
+            for name, opener in (("v.nii.gz", gzip.open), ("v.nii", open)):
+                write_nifti(path[name], arr)
+                with opener(path[name], "rb") as fh:
+                    raw = fh.read()
+                hdr, back = read_nifti(path[name])
+                if not (raw[hdr.vox_offset:] == payload and np.array_equal(arr, back)):
+                    return False
         for seed in (42, 5):
             rec = make_sphere_case(size=16, radius=4, seed=seed)
             cache_case(rec, path["c.btrc"])

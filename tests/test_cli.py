@@ -727,10 +727,6 @@ class TestChecks(object):
             "FAIL  untyped: KeyError: 'w'", "PASS  last", "selftest FAILED",
         ]
 
-    @pytest.mark.parametrize("name", list(reference.CHECKS))
-    def test_oracle_check(self, selftest_run, name):
-        assert f"PASS  {name}" in selftest_run[1]
-
 
 def _scipy_modules_after(statements):
     """Names of the scipy modules loaded after running ``statements`` in a

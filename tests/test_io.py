@@ -1,6 +1,7 @@
 """File formats: NIfTI subset, the case cache, stacking and normalization."""
 
 import gzip
+import re
 import struct
 import zlib
 
@@ -39,13 +40,15 @@ class TestNifti:
         assert hdr.dims == (4, 4, 4)
 
     def test_gzip_roundtrip_and_deterministic_bytes(self, tmp_path):
-        vol = rng.standard_normal((3, 5, 2)).astype(np.float32)
-        p1, p2 = tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"
-        write_nifti(p1, vol)
-        write_nifti(p2, vol)
-        assert p1.read_bytes() == p2.read_bytes()
-        _, back = read_nifti(p1)
-        assert np.array_equal(vol, back)
+        # one slab, and 70 planes: several slabs through one deflate stream
+        for shape in ((3, 5, 2), (7, 6, 70)):
+            vol = rng.standard_normal(shape).astype(np.float32)
+            p1, p2 = tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"
+            write_nifti(p1, vol)
+            write_nifti(p2, vol)
+            assert p1.read_bytes() == p2.read_bytes()
+            _, back = read_nifti(p1)
+            assert np.array_equal(vol, back)
 
     def test_uint8_roundtrip(self, tmp_path):
         vol = rng.integers(0, 5, (4, 4, 4)).astype(np.uint8)
@@ -219,14 +222,33 @@ class TestNiftiCodec:
         with pytest.raises(NiftiError, match=r"cannot write shape"):
             write_nifti(path, np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize("spacing,named", [
+        ((0, 1, 1), "pixdim[1] is 0"),
+        ((1, float("nan"), 1), "pixdim[2] is nan"),
+        ((1, 1, -1), "pixdim[3] is -1"),
+        ((1e-50, 1, 1), "pixdim[1] is 0"),  # rounds to zero as float32
+        ((1e300, 1, 1), "pixdim[1] is inf"),
+        ((1, 1), "give 3 values"),
+        ((1, 1, 1, 1), "give 3 values"),
+    ], ids=["zero", "nan", "negative", "underflow", "overflow", "two-values",
+            "four-values"])
+    def test_spacing_the_reader_rejects_is_not_written(self, tmp_path, spacing, named):
+        path = tmp_path / "v.nii"
+        with pytest.raises(NiftiError, match=re.escape(f"cannot write spacing {spacing!r}")) as info:
+            write_nifti(path, np.zeros((2, 2, 2), dtype=np.uint8), spacing=spacing)
+        assert named in str(info.value)
+        assert not path.exists()
+
     def test_gzip_stream_is_one_member_with_a_zero_mtime(self, tmp_path):
-        vol = _volume(np.uint8, (7, 6, 5))
-        path = tmp_path / "m.nii.gz"
-        write_nifti(path, vol)
-        raw = path.read_bytes()
-        assert raw[:4] == b"\x1f\x8b\x08\x00" and raw[4:8] == bytes(4)
-        with gzip.open(path, "rb") as fh:
-            assert fh.read() == _on_disk(vol)
+        for shape in ((7, 6, 5), (7, 6, 70)):  # one slab, then several
+            vol = _volume(np.uint8, shape)
+            path = tmp_path / "m.nii.gz"
+            write_nifti(path, vol)
+            raw = path.read_bytes()
+            assert raw[:4] == b"\x1f\x8b\x08\x00" and raw[4:8] == bytes(4)
+            member = zlib.decompressobj(31)
+            assert member.decompress(raw) == _on_disk(vol)
+            assert member.eof and member.unused_data == b""
 
     def test_concatenated_members_and_zero_padding(self, tmp_path):
         vol = _volume(np.float32, (6, 5, 4))
